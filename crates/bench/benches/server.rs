@@ -9,8 +9,9 @@
 //!    measured sustainable rate against a deliberately small queue:
 //!    the shed rate and the guarantee that every reply is a *mapped*
 //!    status (200 or 429 — nothing unexplained);
-//! 3. drain latency: how long `QueryServer::stop` takes to quiesce a
-//!    server under active load.
+//! 3. drain: `QueryServer::stop` on a server whose every connection holds
+//!    a query (one stalled in flight, the rest queued) — what it shed and
+//!    cancelled, and how long it took against its deadline.
 //!
 //! Run with `cargo bench -p xqr-bench --bench server`; results are
 //! written to `BENCH_server.json` at the repo root. `--test` runs a
@@ -18,7 +19,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -190,43 +191,70 @@ struct DrainRow {
     conns_at_drain: usize,
     drained_queued: usize,
     cancelled: usize,
+    deadline_ms: f64,
     drain_ms: f64,
 }
 
-/// Stops a server while 8 clients hammer it and reports how long the
-/// two-stage drain (connections, then in-flight queries) takes.
+/// Clients whose queries are held at `stop()` in `run_drain`.
+const DRAIN_CLIENTS: usize = 8;
+
+/// Stops a server with every connection holding a query — one on the
+/// single worker, stalled in a gated document load, the rest queued —
+/// and reports what the two-stage drain (connections, then in-flight
+/// queries) did and how long it took against its deadline. Panics when
+/// the drain had nothing to drain: that would be a failed bench, not a
+/// latency.
 fn run_drain(xml: &str) -> DrainRow {
-    let (_svc, mut server) = start_server(4, 32, xml);
+    let (svc, mut server) = start_server(1, 32, xml);
     let addr = server.addr();
     post(addr, "1");
-    let stop = Arc::new(AtomicBool::new(false));
-    let threads: Vec<_> = (0..8)
+    // Every document load from here on blocks until a permit arrives.
+    let (permit, gate) = std::sync::mpsc::channel::<()>();
+    let gate = std::sync::Mutex::new(gate);
+    svc.register_document("gate.xml");
+    svc.set_loader(move |_| {
+        let _ = gate.lock().unwrap().recv();
+        Ok("<gate/>".to_string())
+    });
+    let clients: Vec<_> = (0..DRAIN_CLIENTS)
         .map(|c| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    let q = xqr_xmark::query(QUERIES[(c + i) % QUERIES.len()]);
-                    let _ = post(addr, &q); // refusals expected once draining
-                    i += 1;
-                }
-            })
+            std::thread::spawn(move || post(addr, xqr_xmark::query(QUERIES[c % QUERIES.len()])))
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(200));
-    let t0 = Instant::now();
-    let report = server.stop(Some(Duration::from_secs(5)));
-    let drain_ms = t0.elapsed().as_secs_f64() * 1.0e3;
-    stop.store(true, Ordering::Relaxed);
-    for t in threads {
-        t.join().expect("load thread");
+    let t_wait = Instant::now();
+    while svc.inflight().len() + svc.queue_depth() < DRAIN_CLIENTS {
+        assert!(
+            t_wait.elapsed() < Duration::from_secs(10),
+            "drain bench: the held queries never arrived"
+        );
+        std::thread::yield_now();
     }
-    DrainRow {
+    let deadline = Duration::from_millis(250);
+    let t0 = Instant::now();
+    let report = server.stop(Some(deadline));
+    let drain_ms = t0.elapsed().as_secs_f64() * 1.0e3;
+    // Open the gate: the cancelled survivor unwinds and replies.
+    drop(permit);
+    for c in clients {
+        c.join().expect("drain client");
+    }
+    let row = DrainRow {
         conns_at_drain: report.conns_at_drain,
         drained_queued: report.service.drained_queued,
         cancelled: report.service.cancelled,
+        deadline_ms: deadline.as_secs_f64() * 1.0e3,
         drain_ms,
-    }
+    };
+    assert!(
+        row.conns_at_drain == DRAIN_CLIENTS
+            && row.drained_queued == DRAIN_CLIENTS - 1
+            && row.cancelled == 1,
+        "drain bench drained nothing it was set up to: {} conns, {} queued shed, {} cancelled",
+        row.conns_at_drain,
+        row.drained_queued,
+        row.cancelled
+    );
+    row
 }
 
 fn main() {
@@ -264,15 +292,22 @@ fn main() {
 
     let drain = run_drain(&xml);
     println!(
-        "drain under load: {} conns open, {} queued shed, {} cancelled, stop took {:.1} ms",
-        drain.conns_at_drain, drain.drained_queued, drain.cancelled, drain.drain_ms
+        "drain under load: {} conns open, {} queued shed, {} cancelled, \
+         stop took {:.1} ms against a {:.0} ms deadline",
+        drain.conns_at_drain,
+        drain.drained_queued,
+        drain.cancelled,
+        drain.drain_ms,
+        drain.deadline_ms
     );
 
     if smoke {
         return;
     }
 
-    let mut json = String::from("{\n  \"bench\": \"server\",\n  \"connections\": [\n");
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let mut json =
+        format!("{{\n  \"bench\": \"server\",\n  \"nproc\": {nproc},\n  \"connections\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"connections\": {}, \"requests\": {}, \"throughput_qps\": {:.1}, \
@@ -293,8 +328,12 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"drain_under_load\": {{\"conns_at_drain\": {}, \"drained_queued\": {}, \
-         \"cancelled\": {}, \"drain_ms\": {:.1}}}\n}}\n",
-        drain.conns_at_drain, drain.drained_queued, drain.cancelled, drain.drain_ms
+         \"cancelled\": {}, \"deadline_ms\": {:.0}, \"drain_ms\": {:.1}}}\n}}\n",
+        drain.conns_at_drain,
+        drain.drained_queued,
+        drain.cancelled,
+        drain.deadline_ms,
+        drain.drain_ms
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
     std::fs::write(path, json).expect("write BENCH_server.json");

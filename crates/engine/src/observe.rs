@@ -23,22 +23,23 @@
 //!   [`ObserveConfig::sample_every`]).
 //!
 //! Everything is snapshotted by [`ObserveReport`], rendered as JSON or
-//! Prometheus-style text, and served over a minimal blocking HTTP
-//! listener ([`MetricsServer`], started by
-//! `QueryService::serve_metrics`). Recording is a handful of relaxed
-//! atomics plus one short mutex hold per *completed query* — nothing
-//! touches the per-tuple path — so the layer stays on by default
+//! Prometheus-style text, and served over a minimal HTTP listener
+//! ([`MetricsServer`], started by `QueryService::serve_metrics`, on the
+//! query frontend's blocking accept loop). Recording is a handful of
+//! relaxed atomics plus one short mutex hold per *completed query* —
+//! nothing touches the per-tuple path — so the layer stays on by default
 //! (measured ≤ 2% service throughput overhead; see `benches/observe.rs`).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use xqr_xml::metrics::{json_escape, HistogramSnapshot, LatencyHistogram, ShedReason};
+
+use crate::server::{refuse_busy, Acceptor};
 
 /// Tuning for the service observability layer.
 #[derive(Clone, Debug)]
@@ -788,34 +789,17 @@ pub(crate) fn unix_ms() -> u64 {
 /// Handle to a running scrape listener (started by
 /// `QueryService::serve_metrics`). Dropping it stops the listener thread.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl MetricsServer {
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
-    /// Stops the listener and joins its thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
+    /// Stops the listener and joins its thread (as dropping it does).
+    pub fn shutdown(self) {}
 }
 
 /// Hard ceiling on the bytes of request line + headers the scrape
@@ -827,76 +811,36 @@ pub(crate) const MAX_SCRAPE_HEAD_BYTES: usize = 8192;
 const SCRAPE_HEAD_DEADLINE: Duration = Duration::from_secs(2);
 /// Concurrent scrape connections served at once; extras get a fast 503.
 const MAX_SCRAPE_CONNS: usize = 16;
+const PLAIN: &str = "text/plain; charset=utf-8";
 
-/// Starts a minimal blocking HTTP/1.1 listener serving GET requests
-/// through `router` (path → `(status, content type, body)`; `None` →
-/// 404). One request per connection, bounded head size, per-read *and*
-/// whole-head deadlines, no keep-alive — a scrape surface, not a web
-/// server. Each connection is served on its own short-lived thread
-/// (capped at [`MAX_SCRAPE_CONNS`]) so one stalled scraper cannot pin
-/// the accept loop.
+/// Starts a minimal HTTP/1.1 listener serving GET requests through
+/// `router` (path → `(status, content type, body)`; `None` → 404). One
+/// request per connection, bounded head size, per-read *and* whole-head
+/// deadlines, no keep-alive — a scrape surface, not a web server. It runs
+/// on the frontend's [`Acceptor`]: each connection is served on its own
+/// short-lived thread (capped at [`MAX_SCRAPE_CONNS`]) so one stalled
+/// scraper cannot pin the accept loop.
 pub(crate) fn serve(
     addr: impl ToSocketAddrs,
     router: impl Fn(&str) -> Option<(u16, &'static str, String)> + Send + Sync + 'static,
 ) -> std::io::Result<MetricsServer> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = stop.clone();
-    let router = Arc::new(router);
-    let active = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-    let handle = std::thread::Builder::new()
-        .name("xqr-metrics".to_string())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        if active.load(Ordering::SeqCst) >= MAX_SCRAPE_CONNS {
-                            // Refuse inline with tight timeouts; never
-                            // block the accept loop on a hostile peer.
-                            let _ = refuse_busy(stream);
-                            continue;
-                        }
-                        active.fetch_add(1, Ordering::SeqCst);
-                        let router = Arc::clone(&router);
-                        let conn_active = Arc::clone(&active);
-                        let spawned = std::thread::Builder::new()
-                            .name("xqr-scrape-conn".to_string())
-                            .spawn(move || {
-                                let _ = handle_conn(stream, &*router);
-                                conn_active.fetch_sub(1, Ordering::SeqCst);
-                            });
-                        if spawned.is_err() {
-                            active.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                }
-            }
-        })
-        .expect("spawn metrics listener thread");
-    Ok(MetricsServer {
-        addr,
-        stop,
-        handle: Some(handle),
-    })
-}
-
-fn refuse_busy(mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(Duration::from_millis(250)))?;
-    stream.write_all(
-        http_response(
-            503,
-            "text/plain; charset=utf-8",
-            "scrape listener busy\n",
-            &[],
-        )
-        .as_bytes(),
-    )
+    let acceptor = Acceptor::spawn(
+        TcpListener::bind(addr)?,
+        "xqr-scrape",
+        MAX_SCRAPE_CONNS,
+        Arc::default(),
+        Arc::default(),
+        |stream| {
+            refuse_busy(
+                stream,
+                &http_response(503, PLAIN, "scrape listener busy\n", &[]),
+            )
+        },
+        move |stream| {
+            let _ = handle_conn(stream, &router);
+        },
+    )?;
+    Ok(MetricsServer { acceptor })
 }
 
 /// Reads one request head from `stream` — bounded by `max_bytes` and a
@@ -948,18 +892,12 @@ fn handle_conn(
     mut stream: TcpStream,
     router: &impl Fn(&str) -> Option<(u16, &'static str, String)>,
 ) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let buf = match read_head(&mut stream, MAX_SCRAPE_HEAD_BYTES, SCRAPE_HEAD_DEADLINE) {
         Ok(Some(buf)) => buf,
         Ok(None) => return Ok(()),
         Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            let resp = http_response(
-                431,
-                "text/plain; charset=utf-8",
-                "request head too large\n",
-                &[],
-            );
+            let resp = http_response(431, PLAIN, "request head too large\n", &[]);
             let _ = stream.write_all(resp.as_bytes());
             return Ok(());
         }
@@ -968,20 +906,12 @@ fn handle_conn(
     let head = String::from_utf8_lossy(&buf);
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
-    let response = if method != "GET" {
-        http_response(
-            405,
-            "text/plain; charset=utf-8",
-            "method not allowed\n",
-            &[],
-        )
+    let (status, ctype, body) = if method != "GET" {
+        (405, PLAIN, "method not allowed\n".to_string())
     } else {
-        match router(path) {
-            Some((status, ctype, body)) => http_response(status, ctype, &body, &[]),
-            None => http_response(404, "text/plain; charset=utf-8", "not found\n", &[]),
-        }
+        router(path).unwrap_or((404, PLAIN, "not found\n".to_string()))
     };
-    stream.write_all(response.as_bytes())?;
+    stream.write_all(http_response(status, ctype, &body, &[]).as_bytes())?;
     stream.flush()
 }
 

@@ -24,15 +24,17 @@
 //!   `429` + `Retry-After`, `XQRG0008` breaker → `503`, governor trips
 //!   → `408`/`413`, syntax/dynamic → `400`, faults → `500`. A client
 //!   never sees a raw panic or a hung socket.
-//! * **Stuck-query watchdog.** A background thread polls
-//!   [`QueryService::inflight`] and escalates queries running past
+//! * **Stuck-query watchdog.** A background thread samples
+//!   [`QueryService::inflight`] once per period (a condvar wait that
+//!   [`QueryServer::stop`] cuts short) and escalates queries running past
 //!   their deadline whose governor liveness counter
 //!   ([`xqr_xml::CancellationToken::progress`]) has stopped advancing —
 //!   cancellation via the query's own token, an escalation counter per
 //!   plan shape (served at `/server.json`), and a breaker failure
 //!   record, so a plan shape that repeatedly wedges starts fast-failing.
-//! * **Graceful drain.** [`QueryServer::stop`] stops accepting, lets
-//!   in-flight connections finish under
+//! * **Graceful drain.** [`QueryServer::stop`] stops accepting (waking the
+//!   blocked `accept()` with a connection to the listener's own address),
+//!   lets in-flight connections finish under
 //!   [`ServerConfig::drain_deadline`], then drains the service itself
 //!   ([`QueryService::drain`]): queued queries shed with `XQRG0007`
 //!   (`shutdown` reason), survivors are cancelled through their tokens.
@@ -53,11 +55,14 @@
 //! `/readyz` (ready = accepting ∧ queue below the shed threshold),
 //! `/metrics`, `/metrics.json`, `/observe.json`, and `/server.json`
 //! (frontend gauges: connections, escalations by shape).
+//!
+//! [`Acceptor`] is the crate's one accept loop (the scrape listener runs
+//! on it too): it blocks in `accept()`, so nothing waits on a poll.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -78,9 +83,9 @@ use crate::{CompileOptions, EngineError};
 /// Stuck-query watchdog tuning.
 #[derive(Clone, Debug)]
 pub struct WatchdogConfig {
-    /// Disable to run the frontend without the watchdog thread's polls.
+    /// Disable to run the frontend without the watchdog thread.
     pub enabled: bool,
-    /// Poll interval for [`QueryService::inflight`] snapshots.
+    /// Interval between [`QueryService::inflight`] snapshots.
     pub period: Duration,
     /// Slack past the deadline, and the minimum observed progress-stall
     /// span, before a query is declared stuck: escalation fires only
@@ -155,33 +160,14 @@ struct ServerShared {
     svc: Arc<QueryService>,
     cfg: ServerConfig,
     sessions: SessionManager,
-    /// Stops the accept and watchdog loops.
-    stop: AtomicBool,
+    /// Stops the accept loop and wakes the watchdog.
+    stop: Arc<Signal<bool>>,
     /// False once a drain begins; feeds `/readyz` and `/server.json`.
     accepting: AtomicBool,
-    /// Open-connection count, guarded for the drain's condvar wait.
-    conns: Mutex<usize>,
-    conns_changed: Condvar,
+    /// Open connections; the drain waits for zero.
+    conns: Arc<Signal<usize>>,
     /// Watchdog escalations per plan shape (shape key → count).
     escalations: Mutex<HashMap<u64, u64>>,
-}
-
-impl ServerShared {
-    fn conn_opened(&self) -> usize {
-        let mut n = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-        *n += 1;
-        *n
-    }
-
-    fn conn_closed(&self) {
-        let mut n = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-        *n = n.saturating_sub(1);
-        self.conns_changed.notify_all();
-    }
-
-    fn open_conns(&self) -> usize {
-        *self.conns.lock().unwrap_or_else(|p| p.into_inner())
-    }
 }
 
 /// The network frontend; see the module docs. Construct with
@@ -190,8 +176,7 @@ impl ServerShared {
 /// service — the service may have other frontends).
 pub struct QueryServer {
     shared: Arc<ServerShared>,
-    addr: SocketAddr,
-    accept_handle: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     watchdog_handle: Option<JoinHandle<()>>,
 }
 
@@ -204,44 +189,68 @@ impl QueryServer {
         cfg: ServerConfig,
     ) -> std::io::Result<QueryServer> {
         let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let sessions = SessionManager::new(cfg.sessions.clone());
         let shared = Arc::new(ServerShared {
             svc,
             cfg,
             sessions,
-            stop: AtomicBool::new(false),
+            stop: Arc::default(),
             accepting: AtomicBool::new(true),
-            conns: Mutex::new(0),
-            conns_changed: Condvar::new(),
+            conns: Arc::default(),
             escalations: Mutex::new(HashMap::new()),
         });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("xqr-server-accept".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared))
-            .expect("spawn server accept thread");
-        let watchdog_shared = Arc::clone(&shared);
-        let watchdog_handle = std::thread::Builder::new()
-            .name("xqr-server-watchdog".to_string())
-            .spawn(move || watchdog_loop(&watchdog_shared))
-            .expect("spawn server watchdog thread");
+        let conn_shared = Arc::clone(&shared);
+        let acceptor = Acceptor::spawn(
+            listener,
+            "xqr-server",
+            shared.cfg.max_connections,
+            Arc::clone(&shared.conns),
+            Arc::clone(&shared.stop),
+            |stream| {
+                metrics().record_server_connection();
+                metrics().record_server_conn_kill();
+                refuse_busy(
+                    stream,
+                    &http_response(
+                        503,
+                        "application/json",
+                        &error_body(ERR_OVERLOADED, "connection limit reached"),
+                        &[("Retry-After", "1".to_string())],
+                    ),
+                );
+            },
+            move |stream| {
+                metrics().record_server_connection();
+                // Injected accept-path fault: the connection is dropped
+                // on the floor, exactly like an accept-time I/O error.
+                if failpoint::check("server::accept").is_err() {
+                    metrics().record_server_conn_kill();
+                    return;
+                }
+                let _ = handle_conn(stream, &conn_shared);
+            },
+        )?;
+        let watchdog_handle = shared.cfg.watchdog.enabled.then(|| {
+            let watchdog_shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("xqr-server-watchdog".to_string())
+                .spawn(move || watchdog_loop(&watchdog_shared))
+                .expect("spawn server watchdog thread")
+        });
         Ok(QueryServer {
             shared,
-            addr,
-            accept_handle: Some(accept_handle),
-            watchdog_handle: Some(watchdog_handle),
+            acceptor,
+            watchdog_handle,
         })
     }
 
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Connections currently being served (diagnostics / tests).
     pub fn active_connections(&self) -> usize {
-        self.shared.open_conns()
+        self.shared.conns.get()
     }
 
     /// Total watchdog escalations and the per-shape breakdown.
@@ -262,29 +271,10 @@ impl QueryServer {
     /// safe to call from a signal-triggered path.
     pub fn stop(&mut self, deadline: Option<Duration>) -> ServerDrainReport {
         let deadline = deadline.unwrap_or(self.shared.cfg.drain_deadline);
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        let conns_at_drain = self.shared.open_conns();
+        self.shutdown_threads();
+        let conns_at_drain = self.shared.conns.get();
         let t0 = Instant::now();
-        {
-            let mut n = self.shared.conns.lock().unwrap_or_else(|p| p.into_inner());
-            while *n > 0 {
-                let remaining = deadline.saturating_sub(t0.elapsed());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, _) = self
-                    .shared
-                    .conns_changed
-                    .wait_timeout(n, remaining)
-                    .unwrap_or_else(|p| p.into_inner());
-                n = guard;
-            }
-        }
-        let conns_drained_in_time = self.shared.open_conns() == 0;
+        let conns_drained_in_time = self.shared.conns.wait_while(deadline, |n| *n > 0) == 0;
         // Service drain second: connections that finished naturally got
         // their replies; whatever is left (stalled peers, wedged
         // queries) now gets shed/cancelled so their threads unwind.
@@ -293,13 +283,20 @@ impl QueryServer {
                 .saturating_sub(t0.elapsed())
                 .max(Duration::from_millis(1)),
         );
-        if let Some(h) = self.watchdog_handle.take() {
-            let _ = h.join();
-        }
         ServerDrainReport {
             conns_at_drain,
             conns_drained_in_time,
             service,
+        }
+    }
+
+    /// Stops the accept loop and the watchdog (both wake on the shared
+    /// stop signal) and joins them.
+    fn shutdown_threads(&mut self) {
+        self.shared.accepting.store(false, Ordering::SeqCst);
+        self.acceptor.shutdown();
+        if let Some(h) = self.watchdog_handle.take() {
+            let _ = h.join();
         }
     }
 }
@@ -309,69 +306,160 @@ impl Drop for QueryServer {
     /// service (other frontends may share it); use [`Self::stop`] for
     /// the full drain.
     fn drop(&mut self) {
-        self.shared.accepting.store(false, Ordering::SeqCst);
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.watchdog_handle.take() {
-            let _ = h.join();
-        }
+        self.shutdown_threads();
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
-    let active = Arc::new(AtomicUsize::new(0));
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                metrics().record_server_connection();
-                // Injected accept-path fault: the connection is dropped
-                // on the floor, exactly like an accept-time I/O error.
-                if failpoint::check("server::accept").is_err() {
-                    metrics().record_server_conn_kill();
+// ===== accept loop =========================================================
+
+/// A value whose every change is signalled on a condvar, so a thread can
+/// block until it reaches a state instead of polling for it. A stop flag
+/// is a `Signal<bool>`; an open-connection count is a `Signal<usize>`.
+#[derive(Default)]
+pub(crate) struct Signal<T> {
+    value: Mutex<T>,
+    changed: Condvar,
+}
+
+impl<T: Copy> Signal<T> {
+    fn get(&self) -> T {
+        *self.value.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Applies `f` to the value and wakes every waiter.
+    fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        let out = f(&mut self.value.lock().unwrap_or_else(|p| p.into_inner()));
+        self.changed.notify_all();
+        out
+    }
+
+    /// Blocks while `pending` holds, for at most `timeout`; returns the
+    /// value last seen.
+    fn wait_while(&self, timeout: Duration, pending: impl FnMut(&mut T) -> bool) -> T {
+        let value = self.value.lock().unwrap_or_else(|p| p.into_inner());
+        let (value, _) = self
+            .changed
+            .wait_timeout_while(value, timeout, pending)
+            .unwrap_or_else(|p| p.into_inner());
+        *value
+    }
+}
+
+/// Handle to a running accept loop; see the module docs. Dropping it
+/// stops the loop.
+pub(crate) struct Acceptor {
+    addr: SocketAddr,
+    stop: Arc<Signal<bool>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Acceptor {
+    /// Runs the accept loop for `listener` on a thread named
+    /// `{name}-accept`. While fewer than `max_conns` connections are open
+    /// (counted in `conns`), each accepted connection runs `serve` on its
+    /// own `{name}-conn` thread; past the cap, `refuse` answers it on the
+    /// accept thread and must not block.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        name: &str,
+        max_conns: usize,
+        conns: Arc<Signal<usize>>,
+        stop: Arc<Signal<bool>>,
+        refuse: impl Fn(TcpStream) + Send + 'static,
+        serve: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> std::io::Result<Acceptor> {
+        let addr = listener.local_addr()?;
+        let loop_stop = Arc::clone(&stop);
+        let conn_name = format!("{name}-conn");
+        let serve = Arc::new(serve);
+        let handle = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                // The wake connection from `shutdown` (and any peer that
+                // raced it) is dropped here, before it is counted.
+                if loop_stop.get() {
+                    return;
+                }
+                let stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    // Descriptor exhaustion, aborted handshakes: pause
+                    // briefly (a stop cuts the pause short), then retry.
+                    Err(_) if loop_stop.wait_while(Duration::from_millis(5), |s| !*s) => return,
+                    Err(_) => continue,
+                };
+                let admitted = conns.update(|n| {
+                    let room = *n < max_conns;
+                    *n += usize::from(room);
+                    room
+                });
+                if !admitted {
+                    refuse(stream);
                     continue;
                 }
-                if active.load(Ordering::SeqCst) >= shared.cfg.max_connections {
-                    metrics().record_server_conn_kill();
-                    let _ = refuse_busy(stream, shared.cfg.write_timeout);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::SeqCst);
-                shared.conn_opened();
-                let conn_shared = Arc::clone(shared);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new()
-                    .name("xqr-server-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_conn(stream, &conn_shared);
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                        conn_shared.conn_closed();
-                    });
+                let (serve, conn_conns) = (Arc::clone(&serve), Arc::clone(&conns));
+                let spawned =
+                    std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || {
+                            serve(stream);
+                            conn_conns.update(|n| *n -= 1);
+                        });
                 if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    shared.conn_closed();
+                    conns.update(|n| *n -= 1);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            })?;
+        Ok(Acceptor {
+            addr,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Sets the stop signal, wakes the blocked `accept()` by connecting
+    /// to the listener, and joins the loop. Idempotent. Should the wake
+    /// connection fail, the loop thread is left parked in `accept()`
+    /// rather than hanging the caller in `join`.
+    pub(crate) fn shutdown(&mut self) {
+        self.stop.update(|stop| *stop = true);
+        let Some(handle) = self.handle.take() else {
+            return;
+        };
+        if TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1)).is_ok() {
+            let _ = handle.join();
         }
     }
 }
 
-fn refuse_busy(mut stream: TcpStream, write_timeout: Duration) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(write_timeout.min(Duration::from_millis(250))))?;
-    stream.write_all(
-        http_response(
-            503,
-            "application/json",
-            &error_body(ERR_OVERLOADED, "connection limit reached"),
-            &[("Retry-After", "1".to_string())],
-        )
-        .as_bytes(),
-    )
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// The address a stopping loop connects to: the listener's own, with an
+/// unspecified bind address (`0.0.0.0`, `::`) mapped to the loopback of
+/// the same family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Writes an over-the-cap refusal under a short write timeout, so a
+/// hostile peer cannot stall the accept thread.
+pub(crate) fn refuse_busy(mut stream: TcpStream, response: &str) {
+    let timeout = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = timeout.and_then(|()| stream.write_all(response.as_bytes()));
 }
 
 /// Maps one engine error to `(status, retry_after_seconds)`. The stable
@@ -402,6 +490,17 @@ fn error_body(code: &str, message: &str) -> String {
         json_escape(code),
         json_escape(message)
     )
+}
+
+/// A JSON error response with no extra headers.
+fn json_error(status: u16, code: &str, message: &str) -> String {
+    http_response(status, "application/json", &error_body(code, message), &[])
+}
+
+/// Counts a killed connection and sends its last words, best effort.
+fn kill_conn(stream: &mut TcpStream, reply: &str) {
+    metrics().record_server_conn_kill();
+    let _ = stream.write_all(reply.as_bytes());
 }
 
 fn engine_error_response(e: &EngineError) -> String {
@@ -508,7 +607,7 @@ fn server_json(shared: &ServerShared) -> String {
         "{{\"accepting\":{},\"active_connections\":{},\"watchdog_escalations\":{total},\
          \"escalations_by_shape\":{{{shapes_json}}}}}\n",
         shared.accepting.load(Ordering::SeqCst),
-        shared.open_conns(),
+        shared.conns.get(),
     )
 }
 
@@ -517,19 +616,10 @@ fn server_json(shared: &ServerShared) -> String {
 /// `server::read`/`server::write` injected ones) count as connection
 /// kills and close the socket without poisoning anything else.
 fn handle_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
     if failpoint::check("server::read").is_err() {
-        metrics().record_server_conn_kill();
-        let _ = stream.write_all(
-            http_response(
-                500,
-                "application/json",
-                &error_body(xqr_xml::failpoint::ERR_INJECTED, "injected read fault"),
-                &[],
-            )
-            .as_bytes(),
-        );
+        let reply = json_error(500, xqr_xml::failpoint::ERR_INJECTED, "injected read fault");
+        kill_conn(&mut stream, &reply);
         return Ok(());
     }
     let buf = match read_head(
@@ -539,48 +629,25 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Re
     ) {
         Ok(Some(buf)) => buf,
         Ok(None) => return Ok(()), // clean early close
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            metrics().record_server_conn_kill();
-            let _ = stream.write_all(
-                http_response(
-                    431,
-                    "application/json",
-                    &error_body("http", "request head exceeds the configured bound"),
-                    &[],
-                )
-                .as_bytes(),
-            );
-            return Ok(());
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
-            metrics().record_server_conn_kill();
-            let _ = stream.write_all(
-                http_response(
-                    408,
-                    "application/json",
-                    &error_body("http", "request head not received in time"),
-                    &[],
-                )
-                .as_bytes(),
-            );
-            return Ok(());
-        }
-        Err(_) => {
-            // Torn reads, resets: nothing to say to a gone peer.
-            metrics().record_server_conn_kill();
+        Err(e) => {
+            let reply = match e.kind() {
+                std::io::ErrorKind::InvalidData => {
+                    json_error(431, "http", "request head exceeds the configured bound")
+                }
+                std::io::ErrorKind::TimedOut => {
+                    json_error(408, "http", "request head not received in time")
+                }
+                // Torn reads, resets: nothing to say to a gone peer.
+                _ => String::new(),
+            };
+            kill_conn(&mut stream, &reply);
             return Ok(());
         }
     };
     let Some(head) = parse_head(buf) else {
-        metrics().record_server_conn_kill();
-        let _ = stream.write_all(
-            http_response(
-                400,
-                "application/json",
-                &error_body("http", "malformed request line"),
-                &[],
-            )
-            .as_bytes(),
+        kill_conn(
+            &mut stream,
+            &json_error(400, "http", "malformed request line"),
         );
         return Ok(());
     };
@@ -601,19 +668,9 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Re
         }
         ("GET", path) => match shared.svc.route(path) {
             Some((status, ctype, body)) => http_response(status, ctype, &body, &[]),
-            None => http_response(
-                404,
-                "application/json",
-                &error_body("http", "not found"),
-                &[],
-            ),
+            None => json_error(404, "http", "not found"),
         },
-        _ => http_response(
-            405,
-            "application/json",
-            &error_body("http", "method not allowed"),
-            &[],
-        ),
+        _ => json_error(405, "http", "method not allowed"),
     };
     if failpoint::check("server::write").is_err() {
         // Injected write fault: the peer sees a dropped connection, the
@@ -640,7 +697,7 @@ fn handle_query(
     shared: &Arc<ServerShared>,
     head: &RequestHead,
 ) -> std::io::Result<String> {
-    let err400 = |msg: &str| http_response(400, "application/json", &error_body("http", msg), &[]);
+    let err400 = |msg: &str| json_error(400, "http", msg);
     let Some(len) = head
         .headers
         .get("content-length")
@@ -649,18 +706,9 @@ fn handle_query(
         return Ok(err400("missing or malformed Content-Length"));
     };
     if len > shared.cfg.max_body_bytes {
-        return Ok(http_response(
-            413,
-            "application/json",
-            &error_body(
-                "http",
-                &format!(
-                    "body of {len} bytes exceeds the {}-byte bound",
-                    shared.cfg.max_body_bytes
-                ),
-            ),
-            &[],
-        ));
+        let bound = shared.cfg.max_body_bytes;
+        let msg = format!("body of {len} bytes exceeds the {bound}-byte bound");
+        return Ok(json_error(413, "http", &msg));
     }
     let body = match read_body(
         stream,
@@ -671,12 +719,7 @@ fn handle_query(
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
             metrics().record_server_conn_kill();
-            return Ok(http_response(
-                408,
-                "application/json",
-                &error_body("http", "request body not received in time"),
-                &[],
-            ));
+            return Ok(json_error(408, "http", "request body not received in time"));
         }
         Err(_) => {
             // Torn frame: peer closed mid-body. Nobody to reply to.
@@ -756,20 +799,20 @@ fn handle_query(
     })
 }
 
-/// The stuck-query watchdog: polls in-flight snapshots and escalates
-/// queries past their deadline whose liveness counter has stopped. An
-/// armed `watchdog::escalate` failpoint suppresses the escalation for
-/// that round (and counts a trip), so chaos runs can prove both the
-/// detection and the suppression paths.
+/// The stuck-query watchdog: samples in-flight snapshots once per period
+/// and escalates queries past their deadline whose liveness counter has
+/// stopped. The period is a wait on the stop signal, so a stopping
+/// server never waits it out. An armed `watchdog::escalate` failpoint
+/// suppresses the escalation for that round (and counts a trip), so
+/// chaos runs can prove both the detection and the suppression paths.
 fn watchdog_loop(shared: &Arc<ServerShared>) {
     // id → (last seen progress counter, when it last changed)
     let mut seen: HashMap<u64, (u64, Instant)> = HashMap::new();
     let mut escalated: HashSet<u64> = HashSet::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.cfg.watchdog.period);
-        if !shared.cfg.watchdog.enabled {
-            continue;
-        }
+    while !shared
+        .stop
+        .wait_while(shared.cfg.watchdog.period, |stop| !*stop)
+    {
         let snapshot = shared.svc.inflight();
         let now = Instant::now();
         let live: HashSet<u64> = snapshot.iter().map(|q| q.id).collect();
@@ -982,6 +1025,14 @@ mod tests {
             }
         );
         assert!(svc.submit(QueryRequest::new("1")).is_err());
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap());
+        assert_eq!(wake("0.0.0.0:80"), "127.0.0.1:80".parse().unwrap());
+        assert_eq!(wake("[::]:80"), "[::1]:80".parse().unwrap());
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80".parse().unwrap());
     }
 
     #[test]

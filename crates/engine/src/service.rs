@@ -239,6 +239,8 @@ struct Job {
     enqueued: Instant,
     /// Admission-decision duration, carried into the lifecycle timeline.
     admit_nanos: u64,
+    /// Plan-cache text key, the fallback breaker/watchdog shape.
+    text_key: u64,
 }
 
 /// One running query, as seen by [`QueryService::inflight`]. Everything
@@ -275,7 +277,7 @@ pub struct DrainReport {
     pub completed_in_time: bool,
 }
 
-/// Worker-side registration of a running query (see
+/// A dispatched query's entry in [`State::inflight`] (see
 /// [`QueryService::inflight`]).
 struct InflightEntry {
     shape: u64,
@@ -288,8 +290,9 @@ struct State {
     queue: VecDeque<Job>,
     /// Sum of in-flight (dispatched, not yet finished) reservations.
     reserved: u64,
-    /// Workers currently executing a query.
-    running: usize,
+    /// Dispatched, not yet finished queries by id. A job moves here from
+    /// `queue` in one critical section, so it is always in exactly one.
+    inflight: HashMap<u64, InflightEntry>,
     /// Exponentially weighted moving average of worker-side run time,
     /// feeding the admission-time wait estimate. 0 = no history yet.
     ewma_run_nanos: u64,
@@ -357,11 +360,8 @@ struct Shared {
     cache: DocTextCache,
     plans: SharedPlanRegistry,
     plan_cache: PlanCacheConfig,
-    /// Queries currently executing on workers, keyed by id; polled by
-    /// the watchdog, drained by [`QueryService::drain`].
-    inflight: Mutex<HashMap<u64, InflightEntry>>,
     state: Mutex<State>,
-    /// Signalled on new work, freed reservations, and shutdown.
+    /// Signalled on new work, finished queries, and shutdown.
     work_ready: Condvar,
     configure_engine: Option<EngineHook>,
     /// The lifecycle-observability accumulator (timelines, histograms,
@@ -390,11 +390,10 @@ impl QueryService {
             cache: DocTextCache::new(cfg.doc_cache_budget),
             plans: SharedPlanRegistry::new(),
             plan_cache: cfg.plan_cache,
-            inflight: Mutex::new(HashMap::new()),
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 reserved: 0,
-                running: 0,
+                inflight: HashMap::new(),
                 ewma_run_nanos: 0,
                 shutdown: false,
                 next_id: 1,
@@ -448,6 +447,7 @@ impl QueryService {
             .as_ref()
             .and_then(|l| l.max_bytes)
             .unwrap_or(self.shared.default_reservation);
+        let text_key = crate::text_cache_key(&req.query, &req.options);
         let mut st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
         if st.shutdown {
             return Err(self.shed(
@@ -480,7 +480,8 @@ impl QueryService {
             limits.as_ref().and_then(|l| l.deadline),
             st.ewma_run_nanos > 0,
         ) {
-            let backlog = st.queue.len() as u64 + u64::from(st.running >= self.shared.workers);
+            let backlog =
+                st.queue.len() as u64 + u64::from(st.inflight.len() >= self.shared.workers);
             let wait_estimate =
                 Duration::from_nanos((backlog * st.ewma_run_nanos) / self.shared.workers as u64);
             if wait_estimate >= deadline {
@@ -509,6 +510,7 @@ impl QueryService {
             reply: tx,
             enqueued: Instant::now(),
             admit_nanos,
+            text_key,
         });
         metrics().record_service_admitted();
         metrics().record_queue_enter();
@@ -613,9 +615,10 @@ impl QueryService {
     /// liveness counter. The stuck-query watchdog polls this.
     pub fn inflight(&self) -> Vec<InflightQuery> {
         self.shared
-            .inflight
+            .state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
+            .inflight
             .iter()
             .map(|(&id, e)| InflightQuery {
                 id,
@@ -661,28 +664,35 @@ impl QueryService {
     pub fn drain(&self, deadline: Duration) -> DrainReport {
         let drained_queued = shed_queue_for_shutdown(&self.shared);
         self.shared.work_ready.notify_all();
-        let t0 = Instant::now();
-        let completed_before = |shared: &Shared| {
-            let st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
-            st.running == 0
+        let survivors = if self.wait_idle(deadline) {
+            Vec::new()
+        } else {
+            self.inflight()
         };
-        while !completed_before(&self.shared) && t0.elapsed() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         // Cancel the survivors; they unwind at their next governed tick.
-        let survivors = self.inflight();
         for q in &survivors {
             q.token.cancel();
         }
-        let grace = Instant::now();
-        while !completed_before(&self.shared) && grace.elapsed() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        if !survivors.is_empty() {
+            self.wait_idle(deadline);
         }
         DrainReport {
             drained_queued,
             cancelled: survivors.len(),
             completed_in_time: survivors.is_empty(),
         }
+    }
+
+    /// Waits on `work_ready` until nothing is in flight (true) or
+    /// `timeout` passes.
+    fn wait_idle(&self, timeout: Duration) -> bool {
+        let st = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        let (st, _) = self
+            .shared
+            .work_ready
+            .wait_timeout_while(st, timeout, |st| !st.inflight.is_empty())
+            .unwrap_or_else(|p| p.into_inner());
+        st.inflight.is_empty()
     }
 
     /// Starts a minimal blocking HTTP scrape listener on `addr` serving:
@@ -843,7 +853,7 @@ fn worker_loop(shared: &Shared) {
     // private document store.
     let mut doc_versions: HashMap<String, u64> = HashMap::new();
     loop {
-        let job = {
+        let (job, started, known_shape) = {
             let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
             loop {
                 if st.shutdown {
@@ -860,9 +870,26 @@ fn worker_loop(shared: &Shared) {
                 if head_fits {
                     let job = st.queue.pop_front().expect("head exists");
                     st.reserved += job.reservation;
-                    st.running += 1;
                     metrics().record_queue_leave();
-                    break job;
+                    // In flight from the dequeue on, so document sync
+                    // (loader stalls) is watchable too.
+                    let started = Instant::now();
+                    let known_shape = shared.plans.lookup(job.text_key);
+                    let queued = started.duration_since(job.enqueued);
+                    st.inflight.insert(
+                        job.id,
+                        InflightEntry {
+                            shape: known_shape.unwrap_or(job.text_key),
+                            token: job.token.clone(),
+                            started,
+                            deadline: job
+                                .limits
+                                .as_ref()
+                                .and_then(|l| l.deadline)
+                                .map(|d| d.saturating_sub(queued)),
+                        },
+                    );
+                    break (job, started, known_shape);
                 }
                 st = shared
                     .work_ready
@@ -870,11 +897,23 @@ fn worker_loop(shared: &Shared) {
                     .unwrap_or_else(|p| p.into_inner());
             }
         };
-        let reservation = job.reservation;
-        let run_nanos = execute_job(shared, &mut engine, &mut doc_versions, job);
+        let (id, reservation) = (job.id, job.reservation);
+        // A panic outside the run's own `catch_unwind` (document sync,
+        // the reply) must neither kill the worker nor strand the entry.
+        let run_nanos = catch_unwind(AssertUnwindSafe(|| {
+            execute_job(
+                shared,
+                &mut engine,
+                &mut doc_versions,
+                job,
+                started,
+                known_shape,
+            )
+        }))
+        .unwrap_or(None);
         let mut st = shared.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.inflight.remove(&id);
         st.reserved = st.reserved.saturating_sub(reservation);
-        st.running -= 1;
         if let Some(n) = run_nanos {
             st.ewma_run_nanos = if st.ewma_run_nanos == 0 {
                 n
@@ -884,7 +923,8 @@ fn worker_loop(shared: &Shared) {
         }
         drop(st);
         // A freed reservation may unblock the queue head for every
-        // waiting worker, not just one.
+        // waiting worker, not just one; a drain waits for the in-flight
+        // table to empty on the same condvar.
         shared.work_ready.notify_all();
     }
 }
@@ -950,9 +990,10 @@ fn execute_job(
     engine: &mut Engine,
     doc_versions: &mut HashMap<String, u64>,
     job: Job,
+    t_dispatch: Instant,
+    known_shape: Option<u64>,
 ) -> Option<u64> {
-    let queue_nanos = job.enqueued.elapsed().as_nanos() as u64;
-    let t_dispatch = Instant::now();
+    let queue_nanos = t_dispatch.duration_since(job.enqueued).as_nanos() as u64;
     let meta = RunMeta::default();
     // Pre-execution rejection: reply + timeline in one place.
     let reject = |e: EngineError| {
@@ -1012,44 +1053,9 @@ fn execute_job(
         ),
     });
 
-    // The breaker/watchdog shape key: the canonical plan hash when the
-    // shared registry already knows this text key's plan, else the
-    // query-text hash (computed up front so the in-flight registration
-    // below covers document sync too — loader stalls are watchable).
-    let text_key = crate::text_cache_key(&job.query, &options);
-    let text_shape = text_key;
-    let known_shape = shared.plans.lookup(text_key);
-
-    // Register with the watchdog-visible in-flight table for the whole
-    // worker-side lifetime; the guard removes the entry on every exit
-    // path, including panics unwinding past `catch_unwind` below.
-    shared
-        .inflight
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .insert(
-            job.id,
-            InflightEntry {
-                shape: known_shape.unwrap_or(text_shape),
-                token: job.token.clone(),
-                started: t_dispatch,
-                deadline: limits.as_ref().and_then(|l| l.deadline),
-            },
-        );
-    struct InflightGuard<'a> {
-        shared: &'a Shared,
-        id: u64,
-    }
-    impl Drop for InflightGuard<'_> {
-        fn drop(&mut self) {
-            self.shared
-                .inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&self.id);
-        }
-    }
-    let _inflight = InflightGuard { shared, id: job.id };
+    // The breaker shape key: the canonical plan hash when the shared
+    // registry knew this text key's plan at dispatch, else the text hash.
+    let (text_key, text_shape) = (job.text_key, job.text_key);
 
     // Sync this worker's private document store with the shared text
     // cache: (re)parse any text whose version moved, loading evicted or

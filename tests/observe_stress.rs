@@ -22,7 +22,7 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{json, validate_prometheus};
 use xqr::engine::{
@@ -531,4 +531,20 @@ fn drain_sheds_queue_with_exact_shutdown_accounting() {
     let r = svc.observe();
     assert_eq!(r.admitted, 5);
     assert_eq!(r.completed_ok + r.completed_err, 5);
+}
+
+/// Dropping the scrape listener returns at once for wildcard and loopback
+/// binds: the blocked accept is woken by a connection to the listener.
+#[test]
+fn dropping_the_scrape_listener_returns_promptly() {
+    let svc = QueryService::new(ServiceConfig::default());
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = svc.serve_metrics(bind).expect("bind listener");
+        let addr = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        assert!(http_get(addr, "/healthz").0.starts_with("HTTP/1.1 200"));
+        let t0 = Instant::now();
+        drop(server);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "{bind}: drop took {took:?}");
+    }
 }

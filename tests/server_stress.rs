@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use xqr::engine::{
     QueryRequest, QueryServer, QueryService, ServerConfig, ServiceConfig, SessionConfig,
-    TenantQuotas,
+    TenantQuotas, WatchdogConfig,
 };
 use xqr::xml::metrics::metrics;
 
@@ -454,10 +454,77 @@ fn graceful_drain_sheds_cancels_and_accounts_exactly() {
     });
 }
 
+/// Past `max_connections`, the accept loop answers inline with a fast
+/// `503` and the stable overload code; the held slot is all that counts.
+#[test]
+fn connections_past_the_cap_get_a_fast_503() {
+    let _l = lock();
+    let (svc, server) = start(
+        ServiceConfig::default(),
+        ServerConfig {
+            max_connections: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    // Holds the only slot: its head read waits for bytes.
+    let held = TcpStream::connect(addr).unwrap();
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("XQRG0007"), "{body}");
+    assert_eq!(server.active_connections(), 1);
+    drop(held);
+    spin_until(Duration::from_secs(10), "held slot", || {
+        server.active_connections() == 0
+    });
+    assert_healthy(&svc, &server);
+}
+
+/// Stopping an idle server returns at once for wildcard and loopback
+/// binds alike: the blocked accept is woken by a self-connection and the
+/// watchdog by the stop signal, so not even a 10 s watchdog period is sat
+/// out. The wake connection is neither served nor counted.
+#[test]
+fn idle_stop_wakes_accept_and_watchdog_without_counting_the_wake() {
+    let _l = lock();
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let svc = Arc::new(QueryService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        }));
+        let cfg = ServerConfig {
+            watchdog: WatchdogConfig {
+                period: Duration::from_secs(10),
+                ..WatchdogConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let mut server = QueryServer::start(Arc::clone(&svc), bind, cfg).unwrap();
+        let addr = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        assert_eq!(get(addr, "/healthz").0, 200);
+        spin_until(Duration::from_secs(10), "healthz connection", || {
+            server.active_connections() == 0
+        });
+        let conns_before = metrics().snapshot().server_connections;
+        let t0 = Instant::now();
+        let report = server.stop(None);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "{bind}: stop took {took:?}");
+        assert_eq!(report.conns_at_drain, 0, "{bind}");
+        assert!(report.conns_drained_in_time, "{bind}");
+        assert!(report.service.completed_in_time, "{bind}");
+        assert_eq!(server.active_connections(), 0, "{bind}");
+        assert_eq!(
+            metrics().snapshot().server_connections,
+            conns_before,
+            "{bind}: the wake connection was counted"
+        );
+    }
+}
+
 #[cfg(feature = "failpoints")]
 mod failpoints {
     use super::*;
-    use xqr::engine::WatchdogConfig;
     use xqr::xml::failpoint::{self, FailGuard};
 
     #[test]

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xqr::engine::{
     CompileOptions, Engine, EngineError, Limits, QueryRequest, QueryService, ServiceConfig,
@@ -295,6 +295,24 @@ fn cancelled_spilling_queries_leave_no_orphan_dirs() {
         "cancelled spilling queries must not orphan spill directories"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A drain with nothing in flight returns at once: it waits on the
+/// condvar finished queries signal, not on a polling loop.
+#[test]
+fn idle_drain_completes_in_time_without_waiting() {
+    let _l = lock();
+    let svc = QueryService::new(ServiceConfig {
+        workers: 2,
+        ..ServiceConfig::default()
+    });
+    assert_eq!(svc.run(QueryRequest::new("1")).unwrap().xml, "1");
+    let t0 = Instant::now();
+    let report = svc.drain(Duration::from_secs(5));
+    let took = t0.elapsed();
+    assert!(report.completed_in_time);
+    assert_eq!((report.drained_queued, report.cancelled), (0, 0));
+    assert!(took < Duration::from_millis(50), "idle drain took {took:?}");
 }
 
 #[cfg(feature = "failpoints")]
