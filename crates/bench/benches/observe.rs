@@ -9,13 +9,13 @@
 //! equally:
 //!
 //! * `off`    — `ObserveConfig { enabled: false }`: the layer's one
-//!              branch per event, nothing recorded;
+//!   branch per event, nothing recorded;
 //! * `on`     — the default configuration (journal, histograms, shapes,
-//!              250 ms slow threshold);
+//!   250 ms slow threshold);
 //! * `on+scrape` — default configuration while a scraper thread calls
-//!              `observe()` + `prometheus_text()` every 5 ms (~200
-//!              scrapes/s — orders of magnitude past a real Prometheus
-//!              interval) to measure snapshot interference.
+//!   `observe()` + `prometheus_text()` every 5 ms (~200 scrapes/s —
+//!   orders of magnitude past a real Prometheus interval) to measure
+//!   snapshot interference.
 //!
 //! The acceptance bar from the lifecycle-observability change: `on` vs
 //! `off` throughput overhead under ~2% (quantile snapshots are off the

@@ -1,8 +1,7 @@
 //! Per-query-shape circuit breakers.
 //!
 //! A query shape that repeatedly dies with internal errors (caught
-//! panics, or pipelined failures whose materialized fallback was also
-//! exhausted) is a standing hazard in a multi-tenant service: every
+//! panics) is a standing hazard in a multi-tenant service: every
 //! resubmission burns a worker slot, a memory reservation, and a full
 //! execution before failing the same way. The breaker registry keys a
 //! classic closed → open → half-open state machine by the query's

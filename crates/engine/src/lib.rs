@@ -135,31 +135,26 @@ pub struct CompileOptions {
     /// `xqr_core::project`). Off by default: profitable for
     /// navigation-heavy queries over large documents.
     pub projection: bool,
-    /// Escape hatch: evaluate every tuple operator to a complete
-    /// intermediate table (the original strategy) instead of the default
-    /// pipelined cursor execution. Kept for ablation benchmarks and the
-    /// cross-strategy differential suite.
-    pub materialize_all: bool,
     /// Per-query resource limits; `None` falls back to the engine-wide
     /// limits installed with [`Engine::set_limits`] (and to
     /// [`Limits::default`] when neither is set).
     pub limits: Option<Limits>,
-    /// Opt-in graceful degradation: when a *pipelined* execution fails
-    /// with an internal error (a caught panic), retry once under the
-    /// materialized strategy. The fallback is recorded and reported by
-    /// [`PreparedQuery::explain`]. Limit violations are never retried.
-    pub fallback_to_materialized: bool,
+    /// Opt-in graceful degradation: when spilling fails irrecoverably
+    /// (`XQRG0005`: spill I/O retries exhausted or a corrupt frame), retry
+    /// the query once with spilling disabled, under the strict in-memory
+    /// byte budget. The fallback is recorded and reported by
+    /// [`PreparedQuery::explain`]. Other errors — limit violations and
+    /// internal errors alike — are never retried.
+    pub fallback_without_spill: bool,
     /// Collect a per-operator runtime profile on every run (EXPLAIN
     /// ANALYZE). Off by default: the disabled path is a single `Option`
     /// check per operator open/dispatch.
     pub profile: bool,
     /// Escape hatch: disable the batched (vectorized) execution of the
-    /// pipelined operators — fused, type-specialized comparison kernels
-    /// for provably safe predicate shapes — and force every predicate
-    /// down the row-at-a-time scalar path. Kept for ablation benchmarks
-    /// and the batched/scalar differential suite, mirroring
-    /// [`CompileOptions::materialize_all`]. No effect under the
-    /// materialized strategy, which is always scalar.
+    /// tuple cursors — fused, type-specialized comparison kernels for
+    /// provably safe predicate shapes — and force every predicate down
+    /// the row-at-a-time scalar path. Kept for ablation benchmarks and the
+    /// batched/scalar differential suite.
     pub scalar_kernels: bool,
 }
 
@@ -187,23 +182,16 @@ impl CompileOptions {
         }
     }
 
-    pub fn materialized(mode: ExecutionMode) -> CompileOptions {
-        CompileOptions {
-            mode,
-            materialize_all: true,
-            ..CompileOptions::default()
-        }
-    }
-
     /// Attaches per-query resource limits.
     pub fn limits(mut self, limits: Limits) -> CompileOptions {
         self.limits = Some(limits);
         self
     }
 
-    /// Enables the materialized-strategy retry on pipelined failure.
+    /// Enables the retry with spilling disabled when spilling fails
+    /// ([`CompileOptions::fallback_without_spill`]).
     pub fn with_fallback(mut self) -> CompileOptions {
-        self.fallback_to_materialized = true;
+        self.fallback_without_spill = true;
         self
     }
 
@@ -563,8 +551,7 @@ impl Engine {
             })??
         };
         let mode = options.mode;
-        let materialize_all = options.materialize_all;
-        let fallback = options.fallback_to_materialized;
+        let fallback = options.fallback_without_spill;
         let profile = options.profile;
         let scalar_kernels = options.scalar_kernels;
         if mode == ExecutionMode::NoAlgebra {
@@ -575,7 +562,6 @@ impl Engine {
                 stats: None,
                 canonical_hash: None,
                 params: HashMap::new(),
-                materialize_all,
                 limits,
                 fallback,
                 fallback_note: RefCell::new(None),
@@ -654,7 +640,6 @@ impl Engine {
             stats: stats.map(Rc::new),
             canonical_hash: Some(canonical_hash),
             params: HashMap::new(),
-            materialize_all,
             limits,
             fallback,
             fallback_note: RefCell::new(None),
@@ -738,9 +723,8 @@ impl Engine {
             stats: cached.stats.clone(),
             canonical_hash: cached.plan.is_some().then_some(cached.canonical_hash),
             params: HashMap::new(),
-            materialize_all: options.materialize_all,
             limits: options.limits.clone().or_else(|| self.limits.clone()),
-            fallback: options.fallback_to_materialized,
+            fallback: options.fallback_without_spill,
             fallback_note: RefCell::new(None),
             profile: options.profile,
             last_profile: RefCell::new(None),
@@ -784,7 +768,7 @@ impl Engine {
 
 /// The plan-cache text key: FNV over the query text plus every compile
 /// option that affects the resulting plan. Execution-only options
-/// (limits, materialization, profiling, kernels, fallback) are *not*
+/// (limits, profiling, kernels, fallback) are *not*
 /// keyed — they live on the `PreparedQuery`, not the cached plan.
 fn text_cache_key(query: &str, options: &CompileOptions) -> u64 {
     let rules = options.rules.unwrap_or_default();
@@ -819,12 +803,11 @@ pub struct PreparedQuery {
     /// overlaid over the engine-wide [`Engine::bind_variable`] bindings at
     /// run time — one compiled plan serves many argument sets.
     params: HashMap<QName, Sequence>,
-    materialize_all: bool,
     /// Effective limits (query-level, else engine-wide) captured at
     /// prepare time.
     limits: Option<Limits>,
     fallback: bool,
-    /// Set when a run fell back to the materialized strategy; surfaced by
+    /// Set when a run fell back to a spill-disabled retry; surfaced by
     /// [`PreparedQuery::explain`].
     fallback_note: RefCell<Option<String>>,
     /// Collect per-operator stats on every run.
@@ -838,7 +821,7 @@ pub struct PreparedQuery {
     query_id: Cell<Option<u64>>,
     /// Whether the most recent run crossed the spill watermark.
     last_spilled: Cell<bool>,
-    /// Whether the most recent run degraded to a fallback strategy.
+    /// Whether the most recent run degraded to the spill-disabled retry.
     last_fell_back: Cell<bool>,
 }
 
@@ -877,8 +860,7 @@ impl PreparedQuery {
         self.last_spilled.get()
     }
 
-    /// Whether the most recent run degraded to a fallback strategy
-    /// (materialized retry or spill-disabled retry).
+    /// Whether the most recent run degraded to the spill-disabled retry.
     pub fn last_run_fell_back(&self) -> bool {
         self.last_fell_back.get()
     }
@@ -944,23 +926,17 @@ impl PreparedQuery {
 
     /// The optimized (or naive) algebra plan, in the paper's notation,
     /// with a per-operator streams/materializes note on the plan tree
-    /// itself, followed by a summary of the pipeline strategy. Uses the
-    /// same annotation mechanism as [`PreparedQuery::explain_analyze`].
+    /// itself, followed by a summary of the pipeline. Uses the same
+    /// annotation mechanism as [`PreparedQuery::explain_analyze`].
     pub fn explain(&self) -> String {
         let base = match &self.plan {
             Some(m) => {
-                let pipelined = !self.materialize_all;
-                let ann = xqr_runtime::explain_annotations(&m.body, pipelined);
-                let plan = pretty::indented_annotated(&m.body, &ann);
-                let strategy = if self.materialize_all {
-                    "execution: materialized (all operators evaluate to full tables)".to_string()
-                } else {
-                    format!(
-                        "execution: pipelined\n{}",
-                        xqr_runtime::pipeline_report(&m.body)
-                    )
-                };
-                format!("{plan}\n{strategy}")
+                let ann = xqr_runtime::explain_annotations(&m.body);
+                format!(
+                    "{}\nexecution: pipelined\n{}",
+                    pretty::indented_annotated(&m.body, &ann),
+                    xqr_runtime::pipeline_report(&m.body)
+                )
             }
             None => "(no algebra: direct Core interpretation)".to_string(),
         };
@@ -1042,36 +1018,9 @@ impl PreparedQuery {
         let t0 = Instant::now();
         let limits = self.limits.clone().unwrap_or_default();
         let governor = Governor::new(&limits, token.clone());
-        let pipelined = !self.materialize_all;
         self.last_spilled.set(false);
         self.last_fell_back.set(false);
-        let result = match self.run_once(engine, &governor, pipelined) {
-            Err(EngineError::Internal {
-                phase,
-                plan_context,
-                message,
-            }) if self.fallback && pipelined && self.plan.is_some() => {
-                // Graceful degradation: the pipelined attempt panicked;
-                // retry once fully materialized. The governor (and thus
-                // the deadline and the budgets already spent) carries
-                // over; only test-only fault injection is disarmed.
-                governor.disarm_fault_injection();
-                metrics().record_fallback();
-                self.last_fell_back.set(true);
-                *self.fallback_note.borrow_mut() = Some(format!(
-                    "fallback: pipelined execution failed during {} ({message}); \
-                     retried under the materialized strategy",
-                    phase.label()
-                ));
-                match self.run_once(engine, &governor, false) {
-                    Ok(v) => Ok(v),
-                    Err(_retry_err) => Err(EngineError::Internal {
-                        phase,
-                        plan_context,
-                        message,
-                    }),
-                }
-            }
+        let result = match self.run_once(engine, &governor) {
             Err(EngineError::LimitExceeded {
                 code,
                 phase,
@@ -1090,7 +1039,7 @@ impl PreparedQuery {
                     phase.label()
                 ));
                 let strict = Governor::new(&limits.clone().with_spill(None), token);
-                match self.run_once(engine, &strict, pipelined) {
+                match self.run_once(engine, &strict) {
                     Ok(v) => Ok(v),
                     Err(_retry_err) => Err(EngineError::LimitExceeded {
                         code,
@@ -1133,12 +1082,7 @@ impl PreparedQuery {
     }
 
     /// One governed execution attempt behind `catch_unwind`.
-    fn run_once(
-        &self,
-        engine: &Engine,
-        governor: &Governor,
-        pipelined: bool,
-    ) -> Result<Sequence, EngineError> {
+    fn run_once(&self, engine: &Engine, governor: &Governor) -> Result<Sequence, EngineError> {
         xqr_xml::failpoint::check("phase::execute").map_err(|e| classify(e, Phase::Execute))?;
         let profiler =
             (self.profile && self.plan.is_some()).then(|| Profiler::new(governor.clone()));
@@ -1172,7 +1116,6 @@ impl PreparedQuery {
                     &engine.documents,
                     mode.join_algorithm(),
                 );
-                ctx.pipelined = pipelined;
                 ctx.batched = !self.scalar_kernels;
                 ctx.globals = globals();
                 ctx.governor = governor.clone();
@@ -1185,12 +1128,7 @@ impl PreparedQuery {
             // far the plan got before the error.
             let wall = t0.elapsed().as_nanos() as u64;
             let mut snap = if let Some(p) = &profiler {
-                let strategy = if pipelined {
-                    "pipelined"
-                } else {
-                    "materialized"
-                };
-                p.snapshot(strategy, wall)
+                p.snapshot("pipelined", wall)
             } else {
                 QueryProfile {
                     strategy: "core-interp".to_string(),
@@ -1432,17 +1370,10 @@ mod tests {
             pipelined.explain()
         );
         assert!(pipelined.explain().contains("pipelined (streaming):"));
-        let materialized = e
-            .prepare(
-                q,
-                &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
-            )
-            .unwrap();
-        assert!(materialized.explain().contains("execution: materialized"));
     }
 
     #[test]
-    fn materialized_escape_hatch_agrees() {
+    fn pipelined_agrees_with_interpreter() {
         let e = engine_with("<r><a id='1'>x</a><a id='2'>y</a></r>");
         for q in [
             "for $x in (1,2,3) where $x > 1 return $x * 10",
@@ -1454,15 +1385,12 @@ mod tests {
                 .unwrap()
                 .run_to_string(&e)
                 .unwrap();
-            let m = e
-                .prepare(
-                    q,
-                    &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
-                )
+            let i = e
+                .prepare(q, &CompileOptions::mode(ExecutionMode::NoAlgebra))
                 .unwrap()
                 .run_to_string(&e)
                 .unwrap();
-            assert_eq!(p, m, "strategies disagree on {q:?}");
+            assert_eq!(p, i, "algebra and interpreter disagree on {q:?}");
         }
     }
 

@@ -162,7 +162,7 @@ pub struct QueryTimeline {
     pub error: Option<String>,
     /// The run crossed the spill watermark.
     pub spilled: bool,
-    /// The run fell back to the materialized strategy.
+    /// The run fell back to a spill-disabled retry after spilling failed.
     pub fell_back: bool,
     /// Whether a worker actually executed the query (false: shed while
     /// queued, deadline expired in queue, cancelled, drained at

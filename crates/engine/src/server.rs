@@ -906,8 +906,8 @@ mod tests {
     fn query_roundtrip_over_tcp() {
         let (_svc, server) = serve(ServerConfig::default());
         let addr = server.addr();
-        let req = format!("POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\n1 + 1");
-        let (status, headers, body) = roundtrip(addr, &req);
+        let req = "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\n1 + 1";
+        let (status, headers, body) = roundtrip(addr, req);
         assert_eq!(status, 200, "{body}");
         assert_eq!(body, "2");
         assert!(headers.contains_key("x-query-id"));
@@ -966,10 +966,9 @@ mod tests {
         let addr = server.addr();
         let (status, body) = post_query(addr, "1", "X-Tenant: burst\r\n");
         assert_eq!(status, 200, "{body}");
-        let req = format!(
-            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 1\r\nX-Tenant: burst\r\n\r\n1"
-        );
-        let (status, headers, body) = roundtrip(addr, &req);
+        let req =
+            "POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 1\r\nX-Tenant: burst\r\n\r\n1";
+        let (status, headers, body) = roundtrip(addr, req);
         assert_eq!(status, 429, "{body}");
         assert!(body.contains(ERR_TENANT), "{body}");
         assert!(headers.contains_key("retry-after"));

@@ -439,6 +439,6 @@ mod tests {
         let m = mgr(TenantQuotas::default().with_max_concurrent(1));
         let _p = m.admit("t", 0).unwrap();
         let _ = m.admit("t", 0).unwrap_err();
-        assert!(metrics().snapshot().tenant_rejections >= before + 1);
+        assert!(metrics().snapshot().tenant_rejections > before);
     }
 }

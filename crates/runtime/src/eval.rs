@@ -1,6 +1,7 @@
-//! The plan evaluator: executes the logical algebra over materialized
-//! tables (the logical model's tables; the paper's cursor pipeline is an
-//! implementation alternative, see DESIGN.md).
+//! The plan evaluator: executes the item-valued operators, the breakers
+//! (`OrderBy`, `GroupBy`) and the tuples-to-items boundaries directly; every
+//! streaming tuple operator runs through its cursor in [`crate::pipeline`],
+//! its one physical implementation.
 
 use std::collections::HashMap;
 
@@ -15,8 +16,7 @@ use xqr_xml::{
 use crate::compare::{atomize_optional, effective_boolean_value, order_key_compare};
 use crate::context::Ctx;
 use crate::functions::{call_builtin, is_builtin, BuiltinCtx};
-use crate::groupby::{execute_group_by, execute_group_by_streaming};
-use crate::joins::execute_join;
+use crate::groupby::execute_group_by_streaming;
 use crate::pipeline;
 use crate::value::{InputVal, Table, Tuple, Value};
 
@@ -89,22 +89,14 @@ pub(crate) fn eval_items(
     eval(plan, ctx, input)?.into_items()
 }
 
-/// Evaluates a table-valued plan. In pipelined mode a *fusing* operator
-/// chain (two or more streaming operators stacked) runs through the cursor
-/// layer, materializing once here; otherwise (a lone streaming operator or
-/// a breaker) the all-at-once arms below run — a cursor over a single
-/// operator would do the same loop with extra indirection.
+/// Evaluates a table-valued plan to a complete table: a streaming
+/// operator drains its cursor chain here, a breaker returns its output.
 pub(crate) fn eval_table(
     plan: &Plan,
     ctx: &mut Ctx<'_>,
     input: Option<&InputVal>,
 ) -> xqr_xml::Result<Table> {
-    let table = if ctx.pipelined && pipeline::fuses(plan) {
-        let cur = pipeline::open_cursor(plan, ctx, input)?;
-        pipeline::collect(cur, ctx)?
-    } else {
-        eval(plan, ctx, input)?.into_table()?
-    };
+    let table = eval(plan, ctx, input)?.into_table()?;
     // Every materialized intermediate passes through here; the byte budget
     // counts their cumulative footprint, and the profiler records the
     // largest single materialization per operator. Skipped entirely when
@@ -137,26 +129,18 @@ pub(crate) fn eval_table(
     Ok(table)
 }
 
-/// Is this operator in the profiled set? Tuple operators, path steps, the
-/// boundaries, and calls — the nodes where cardinality and time attribution
-/// is meaningful. Leaf scalar/variable/constructor plans stay out: they
-/// evaluate per tuple inside dependent sub-plans, where wrapping each
-/// `eval` would cost more than the work being measured.
+/// Is this operator in the profiled set? Breakers, path steps, the
+/// tuples-to-items boundaries, and calls — the nodes where cardinality and
+/// time attribution is meaningful. The streaming tuple operators stay out:
+/// their `ProfiledCursor` (see [`pipeline::open_cursor`]) records them, and
+/// counting them here too would record each node twice. Leaf
+/// scalar/variable/constructor plans stay out as well: they evaluate per
+/// tuple inside dependent sub-plans, where wrapping each `eval` would cost
+/// more than the work being measured.
 fn profiled_op(op: &Op) -> bool {
     matches!(
         op,
-        Op::Select { .. }
-            | Op::Product(..)
-            | Op::Join { .. }
-            | Op::LOuterJoin { .. }
-            | Op::MapOp { .. }
-            | Op::OMap { .. }
-            | Op::MapConcat { .. }
-            | Op::OMapConcat { .. }
-            | Op::MapIndex { .. }
-            | Op::MapIndexStep { .. }
-            | Op::MapFromItem { .. }
-            | Op::MapToItem { .. }
+        Op::MapToItem { .. }
             | Op::MapSome { .. }
             | Op::MapEvery { .. }
             | Op::OrderBy { .. }
@@ -180,9 +164,7 @@ pub(crate) fn eval(
     input: Option<&InputVal>,
 ) -> xqr_xml::Result<Value> {
     let stats = match &ctx.profiler {
-        Some(p) if profiled_op(&plan.op) && !(ctx.pipelined && pipeline::treejoin_fuses(plan)) => {
-            p.stats_for(plan)
-        }
+        Some(p) if profiled_op(&plan.op) && !pipeline::treejoin_fuses(plan) => p.stats_for(plan),
         _ => None,
     };
     let Some(stats) = stats else {
@@ -257,7 +239,7 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
             // A fused step chain streams node-by-node: inner step outputs
             // feed the outer stepper without materializing the intermediate
             // sequence. A lone step runs the set-at-a-time kernel directly.
-            if ctx.pipelined && pipeline::treejoin_fuses(plan) {
+            if pipeline::treejoin_fuses(plan) {
                 let mut cur = pipeline::open_item_cursor(plan, ctx, input)?;
                 let mut out = SequenceBuilder::new();
                 while let Some(r) = cur.next(ctx) {
@@ -410,164 +392,23 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
             }
             Ok(Value::Items(t[0].get(field)))
         }
-        Op::Select { pred, input: src } => {
-            let table = eval_table(src, ctx, input)?;
-            let mut out = Table::with_capacity(table.len());
-            for t in table {
-                ctx.governor.tick()?;
-                // Move the tuple into the binding and back out: no clone.
-                let bound = InputVal::Tuple(t);
-                let v = eval_dep_items(pred, ctx, &bound)?;
-                let InputVal::Tuple(t) = bound else {
-                    unreachable!()
-                };
-                if effective_boolean_value(&v)? {
-                    out.push(t);
-                }
-            }
-            Ok(Value::Table(out))
-        }
-        Op::Product(a, b) => {
-            let ta = eval_table(a, ctx, input)?;
-            let tb = eval_table(b, ctx, input)?;
-            // Charge the full cross-product size before allocating it, so
-            // an exploding Product trips the budget pre-allocation.
-            ctx.governor
-                .charge_tuples(ta.len() as u64 * tb.len() as u64)?;
-            let mut out = Table::with_capacity(ta.len() * tb.len());
-            for x in &ta {
-                for y in &tb {
-                    out.push(x.concat(y));
-                }
-            }
-            Ok(Value::Table(out))
-        }
-        Op::Join { pred, left, right } => {
-            let tl = eval_table(left, ctx, input)?;
-            let tr = eval_table(right, ctx, input)?;
-            let stats = match &ctx.profiler {
-                Some(p) => p.stats_for(plan),
-                None => None,
-            };
-            Ok(Value::Table(execute_join(
-                pred,
-                left,
-                right,
-                &tl,
-                &tr,
-                None,
-                ctx,
-                stats.as_deref(),
-            )?))
-        }
-        Op::LOuterJoin {
-            null_field,
-            pred,
-            left,
-            right,
-        } => {
-            let tl = eval_table(left, ctx, input)?;
-            let tr = eval_table(right, ctx, input)?;
-            let stats = match &ctx.profiler {
-                Some(p) => p.stats_for(plan),
-                None => None,
-            };
-            Ok(Value::Table(execute_join(
-                pred,
-                left,
-                right,
-                &tl,
-                &tr,
-                Some(null_field),
-                ctx,
-                stats.as_deref(),
-            )?))
-        }
-        Op::MapOp { dep, input: src } => {
-            let table = eval_table(src, ctx, input)?;
-            let mut out = Table::with_capacity(table.len());
-            for t in table {
-                ctx.governor.tick()?;
-                let mapped = eval(dep, ctx, Some(&InputVal::Tuple(t)))?.into_table()?;
-                out.extend(mapped);
-            }
-            Ok(Value::Table(out))
-        }
-        Op::OMap {
-            null_field,
-            input: src,
-        } => {
-            let table = eval_table(src, ctx, input)?;
-            if table.is_empty() {
-                return Ok(Value::Table(vec![Tuple::from_fields(vec![(
-                    null_field.clone(),
-                    Sequence::singleton(AtomicValue::Boolean(true)),
-                )])]));
-            }
-            ctx.governor.charge_tuples(table.len() as u64)?;
-            Ok(Value::Table(
-                table
-                    .into_iter()
-                    .map(|t| {
-                        t.with(
-                            null_field.clone(),
-                            Sequence::singleton(AtomicValue::Boolean(false)),
-                        )
-                    })
-                    .collect(),
-            ))
-        }
-        Op::MapConcat { dep, input: src } => {
-            let table = eval_table(src, ctx, input)?;
-            let mut out = Table::new();
-            for t in table {
-                ctx.governor.tick()?;
-                let produced = eval(dep, ctx, Some(&InputVal::Tuple(t.clone())))?.into_table()?;
-                ctx.governor.charge_tuples(produced.len() as u64)?;
-                for u in produced {
-                    out.push(t.concat(&u));
-                }
-            }
-            Ok(Value::Table(out))
-        }
-        Op::OMapConcat {
-            null_field,
-            dep,
-            input: src,
-        } => {
-            let table = eval_table(src, ctx, input)?;
-            let mut out = Table::new();
-            for t in table {
-                ctx.governor.tick()?;
-                let produced = eval(dep, ctx, Some(&InputVal::Tuple(t.clone())))?.into_table()?;
-                ctx.governor.charge_tuples(produced.len() as u64)?;
-                if produced.is_empty() {
-                    out.push(t.with(
-                        null_field.clone(),
-                        Sequence::singleton(AtomicValue::Boolean(true)),
-                    ));
-                } else {
-                    for u in produced {
-                        out.push(t.concat(&u).with(
-                            null_field.clone(),
-                            Sequence::singleton(AtomicValue::Boolean(false)),
-                        ));
-                    }
-                }
-            }
-            Ok(Value::Table(out))
-        }
-        Op::MapIndex { field, input: src } | Op::MapIndexStep { field, input: src } => {
-            let table = eval_table(src, ctx, input)?;
-            ctx.governor.charge_tuples(table.len() as u64)?;
-            Ok(Value::Table(
-                table
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, t)| t.with(field.clone(), Sequence::integers([i as i64 + 1])))
-                    .collect(),
-            ))
-        }
+        // The streaming tuple operators: their cursor is their one
+        // physical implementation (`MapFromItem` included — the
+        // items-to-tuples boundary streams too).
+        Op::Select { .. }
+        | Op::Product(..)
+        | Op::Join { .. }
+        | Op::LOuterJoin { .. }
+        | Op::MapOp { .. }
+        | Op::OMap { .. }
+        | Op::MapConcat { .. }
+        | Op::OMapConcat { .. }
+        | Op::MapIndex { .. }
+        | Op::MapIndexStep { .. }
+        | Op::MapFromItem { .. } => Ok(Value::Table(pipeline::collect(
+            pipeline::open_cursor(plan, ctx, input)?,
+            ctx,
+        )?)),
         Op::OrderBy { specs, input: src } => {
             let table = eval_table(src, ctx, input)?;
             if ctx.governor.should_spill() {
@@ -592,64 +433,41 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
             per_item,
             input: src,
         } => {
-            // GroupBy breaks the pipeline on its output, but in pipelined
-            // mode it *consumes* a streaming input tuple-by-tuple,
-            // hash-partitioning on the fly — the grouped table (typically
-            // a join output, the largest intermediate of the unnesting
-            // pipeline) is never stored or sorted.
+            // GroupBy breaks the pipeline on its output but *consumes*
+            // its input tuple-by-tuple, hash-partitioning on the fly — the
+            // grouped table (typically a join output, the largest
+            // intermediate of the unnesting pipeline) is never stored or
+            // sorted. A breaker input is replayed from its table.
             let stats = match &ctx.profiler {
                 Some(p) => p.stats_for(plan),
                 None => None,
             };
-            if ctx.pipelined && pipeline::streams(&src.op) {
-                let mut cur = pipeline::open_cursor(src, ctx, input)?;
-                return Ok(Value::Table(execute_group_by_streaming(
-                    agg,
-                    index_fields,
-                    null_fields,
-                    per_partition,
-                    per_item,
-                    &mut *cur,
-                    ctx,
-                    stats.as_deref(),
-                )?));
-            }
-            let table = eval_table(src, ctx, input)?;
-            Ok(Value::Table(execute_group_by(
+            let mut cur = pipeline::open_cursor(src, ctx, input)?;
+            Ok(Value::Table(execute_group_by_streaming(
                 agg,
                 index_fields,
                 null_fields,
                 per_partition,
                 per_item,
-                table,
+                &mut *cur,
                 ctx,
                 stats.as_deref(),
             )?))
         }
 
         // ===== Boundary operators =============================================
-        Op::MapFromItem { dep, input: src } => {
-            let items = eval_items(src, ctx, input)?;
-            let mut out = Table::with_capacity(items.len());
-            for item in items.iter() {
-                ctx.governor.tick()?;
-                let t = eval(dep, ctx, Some(&InputVal::Item(item.clone())))?.into_table()?;
-                out.extend(t);
-            }
-            Ok(Value::Table(out))
-        }
         Op::MapToItem { dep, input: src } => {
-            // The tuples-to-items boundary: in pipelined mode a streaming
-            // source feeds one tuple at a time into the output builder —
-            // its output table never exists.
+            // The tuples-to-items boundary: the source feeds one tuple at
+            // a time into the output builder — its output table never
+            // exists.
             let mut out = SequenceBuilder::new();
-            if ctx.pipelined && ctx.batched && input.is_none() && pipeline::streams(&src.op) {
+            let mut cur = pipeline::open_cursor(src, ctx, input)?;
+            if ctx.batched && input.is_none() {
                 // Top-level boundary: the stream is long enough to
                 // amortize the batch buffer. (Dependent-position
                 // `MapToItem`s run per outer row over tiny streams, where
                 // the per-call buffer costs more than the loop it saves —
                 // those stay row-at-a-time below.)
-                let mut cur = pipeline::open_cursor(src, ctx, input)?;
                 let mut batch = Table::new();
                 loop {
                     batch.clear();
@@ -667,41 +485,23 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
                         Err(e) => return Err(e),
                     }
                 }
-            } else if ctx.pipelined && pipeline::streams(&src.op) {
-                let mut cur = pipeline::open_cursor(src, ctx, input)?;
+            } else {
                 while let Some(t) = cur.next(ctx) {
                     out.push(eval_dep_items(dep, ctx, &InputVal::Tuple(t?))?);
-                }
-            } else {
-                for t in eval_table(src, ctx, input)? {
-                    ctx.governor.tick()?;
-                    out.push(eval_dep_items(dep, ctx, &InputVal::Tuple(t))?);
                 }
             }
             Ok(Value::Items(out.finish()))
         }
         Op::MapSome { dep, input: src } => {
-            // Existential quantifier: pipelining makes the short-circuit
-            // real — the source stops producing at the first witness.
-            if ctx.pipelined && pipeline::streams(&src.op) {
-                let mut cur = pipeline::open_cursor(src, ctx, input)?;
-                while let Some(t) = cur.next(ctx) {
-                    let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t?))?;
-                    if effective_boolean_value(&v)? {
-                        return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
-                            true,
-                        ))));
-                    }
-                }
-            } else {
-                for t in eval_table(src, ctx, input)? {
-                    ctx.governor.tick()?;
-                    let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t))?;
-                    if effective_boolean_value(&v)? {
-                        return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
-                            true,
-                        ))));
-                    }
+            // Existential quantifier: the source stops producing at the
+            // first witness.
+            let mut cur = pipeline::open_cursor(src, ctx, input)?;
+            while let Some(t) = cur.next(ctx) {
+                let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t?))?;
+                if effective_boolean_value(&v)? {
+                    return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
+                        true,
+                    ))));
                 }
             }
             Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
@@ -709,25 +509,13 @@ fn eval_inner(plan: &Plan, ctx: &mut Ctx<'_>, input: Option<&InputVal>) -> xqr_x
             ))))
         }
         Op::MapEvery { dep, input: src } => {
-            if ctx.pipelined && pipeline::streams(&src.op) {
-                let mut cur = pipeline::open_cursor(src, ctx, input)?;
-                while let Some(t) = cur.next(ctx) {
-                    let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t?))?;
-                    if !effective_boolean_value(&v)? {
-                        return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
-                            false,
-                        ))));
-                    }
-                }
-            } else {
-                for t in eval_table(src, ctx, input)? {
-                    ctx.governor.tick()?;
-                    let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t))?;
-                    if !effective_boolean_value(&v)? {
-                        return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
-                            false,
-                        ))));
-                    }
+            let mut cur = pipeline::open_cursor(src, ctx, input)?;
+            while let Some(t) = cur.next(ctx) {
+                let v = eval_dep_items(dep, ctx, &InputVal::Tuple(t?))?;
+                if !effective_boolean_value(&v)? {
+                    return Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(
+                        false,
+                    ))));
                 }
             }
             Ok(Value::Items(Sequence::singleton(AtomicValue::Boolean(

@@ -27,82 +27,6 @@ use crate::eval::eval_dep_items;
 use crate::pipeline::TupleCursor;
 use crate::value::{InputVal, Table, Tuple};
 
-/// Executes a GroupBy over a materialized input table. `stats` (when
-/// profiling) receives the number of partitions produced.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_group_by(
-    agg: &Field,
-    index_fields: &[Field],
-    null_fields: &[Field],
-    per_partition: &Plan,
-    per_item: &Plan,
-    input: Table,
-    ctx: &mut Ctx<'_>,
-    stats: Option<&crate::profile::OpStats>,
-) -> xqr_xml::Result<Table> {
-    // Past the governor's soft watermark, partitions accumulate on disk
-    // instead of in the keyed vector.
-    if ctx.governor.should_spill() {
-        return crate::spill::spill_group_by(
-            agg,
-            index_fields,
-            null_fields,
-            per_partition,
-            per_item,
-            input,
-            ctx,
-            stats,
-        );
-    }
-    // Sort stably by the index-field vector (ascending). The unnesting
-    // pipeline produces already-sorted input; the sort makes the operator
-    // correct for any input.
-    let mut keyed: Vec<(Vec<i64>, Tuple)> = input
-        .into_iter()
-        .map(|t| {
-            let key = index_fields
-                .iter()
-                .map(|f| index_value(&t, f))
-                .collect::<xqr_xml::Result<Vec<i64>>>()?;
-            Ok((key, t))
-        })
-        .collect::<xqr_xml::Result<_>>()?;
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = Table::new();
-    let mut i = 0;
-    while i < keyed.len() {
-        let mut j = i + 1;
-        while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-            j += 1;
-        }
-        let partition = &keyed[i..j];
-        let representative = partition[0].1.clone();
-        // Pre-grouping: per-item operator on non-null tuples only.
-        let mut items: Vec<Item> = Vec::new();
-        for (_, tup) in partition {
-            ctx.governor.tick()?;
-            if all_nulls_false(tup, null_fields)? {
-                let produced = eval_dep_items(per_item, ctx, &InputVal::Tuple(tup.clone()))?;
-                ctx.governor.charge_bytes(24 * produced.len() as u64)?;
-                items.extend(produced.iter().cloned());
-            }
-        }
-        // Post-grouping: per-partition operator on the item sequence.
-        let agg_value = eval_dep_items(
-            per_partition,
-            ctx,
-            &InputVal::Items(Sequence::from_vec(items)),
-        )?;
-        out.push(representative.with(agg.clone(), agg_value));
-        i = j;
-    }
-    if let Some(s) = stats {
-        s.add_partitions(out.len() as u64);
-    }
-    Ok(out)
-}
-
 /// One in-progress partition of the streaming GroupBy.
 struct Part {
     key: Vec<i64>,
@@ -110,18 +34,18 @@ struct Part {
     items: Vec<Item>,
 }
 
-/// Streaming GroupBy: consumes its input as a cursor — the input table
+/// The GroupBy operator: consumes its input as a cursor — the input table
 /// (typically a join output, the largest intermediate of the unnesting
 /// pipeline) never materializes, and each tuple is released as soon as its
 /// pre-grouping items are extracted. While keys arrive in non-decreasing
 /// order (which the unnesting pipeline guarantees by construction) no hash
 /// table and no sort are needed: a partition closes the moment its key is
 /// passed. The first out-of-order key switches to hash-merging, and the
-/// output is key-sorted at the end — producing exactly the tables of
-/// [`execute_group_by`] for any input: partitions with equal keys merge,
-/// output partitions are ordered by ascending key, the representative is
-/// the first tuple seen per partition, and items accumulate in input
-/// order.
+/// output is key-sorted at the end — the stable-sort-then-partition
+/// semantics above for any input: partitions with equal keys merge, output
+/// partitions are ordered by ascending key, the representative is the
+/// first tuple seen per partition, and items accumulate in input order.
+/// `stats` (when profiling) receives the number of partitions produced.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_group_by_streaming<'p>(
     agg: &Field,
@@ -242,7 +166,7 @@ fn merge_hash(
     }
 }
 
-pub(crate) fn index_value(t: &Tuple, field: &Field) -> xqr_xml::Result<i64> {
+fn index_value(t: &Tuple, field: &Field) -> xqr_xml::Result<i64> {
     let seq = t.get(field);
     match seq.get(0) {
         Some(Item::Atomic(AtomicValue::Integer(i))) => Ok(*i),
@@ -254,7 +178,7 @@ pub(crate) fn index_value(t: &Tuple, field: &Field) -> xqr_xml::Result<i64> {
     }
 }
 
-pub(crate) fn all_nulls_false(t: &Tuple, null_fields: &[Field]) -> xqr_xml::Result<bool> {
+fn all_nulls_false(t: &Tuple, null_fields: &[Field]) -> xqr_xml::Result<bool> {
     for f in null_fields {
         let seq = t.get(f);
         if !seq.is_empty() && effective_boolean_value(&seq)? {
@@ -287,6 +211,37 @@ mod tests {
 
     fn bool_field(name: &str, v: bool) -> (Field, Sequence) {
         (name.into(), Sequence::singleton(AtomicValue::Boolean(v)))
+    }
+
+    /// Replays a prebuilt input table, as the evaluator replays a breaker.
+    struct TableCursor(std::vec::IntoIter<Tuple>);
+
+    impl<'p> TupleCursor<'p> for TableCursor {
+        fn next(&mut self, _ctx: &mut Ctx<'_>) -> Option<xqr_xml::Result<Tuple>> {
+            self.0.next().map(Ok)
+        }
+    }
+
+    /// Runs the GroupBy over `input` with the given fields and operators.
+    fn group_by(
+        ctx: &mut Ctx<'_>,
+        index_fields: &[Field],
+        null_fields: &[Field],
+        per_partition: &Plan,
+        per_item: &Plan,
+        input: Table,
+    ) -> Table {
+        execute_group_by_streaming(
+            &Field::from("a"),
+            index_fields,
+            null_fields,
+            per_partition,
+            per_item,
+            &mut TableCursor(input.into_iter()),
+            ctx,
+            None,
+        )
+        .unwrap()
     }
 
     /// Reproduces **Fig. 4** exactly: input/output of the GroupBy for
@@ -328,17 +283,14 @@ mod tests {
         // Post-grouping operator: avg(IN).
         let per_partition = Plan::call("avg", vec![Plan::input()]);
 
-        let out = execute_group_by(
-            &Field::from("a"),
+        let out = group_by(
+            &mut ctx,
             &["index".into()],
             &["null".into()],
             &per_partition,
             &per_item,
             input,
-            &mut ctx,
-            None,
-        )
-        .unwrap();
+        );
 
         // Expected output (paper Fig. 4): (x=1, a=15), (x=1, a=15), (x=3, a=()).
         assert_eq!(out.len(), 3);
@@ -364,8 +316,8 @@ mod tests {
         let input: Table = (1..=3)
             .map(|v| Tuple::from_fields(vec![int_field("y", v), bool_field("null", false)]))
             .collect();
-        let out = execute_group_by(
-            &Field::from("a"),
+        let out = group_by(
+            &mut ctx,
             &[],
             &["null".into()],
             &Plan::call("count", vec![Plan::input()]),
@@ -374,10 +326,7 @@ mod tests {
                 input: Plan::boxed(Op::Input),
             }),
             input,
-            &mut ctx,
-            None,
-        )
-        .unwrap();
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("a"), Sequence::integers([3]));
     }
@@ -392,8 +341,8 @@ mod tests {
             .iter()
             .map(|&k| Tuple::from_fields(vec![int_field("index", k), int_field("v", k * 10)]))
             .collect();
-        let out = execute_group_by(
-            &Field::from("a"),
+        let out = group_by(
+            &mut ctx,
             &["index".into()],
             &[],
             &Plan::call("count", vec![Plan::input()]),
@@ -402,10 +351,7 @@ mod tests {
                 input: Plan::boxed(Op::Input),
             }),
             input,
-            &mut ctx,
-            None,
-        )
-        .unwrap();
+        );
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].get("index"), Sequence::integers([1]));
         assert_eq!(out[1].get("index"), Sequence::integers([2]));

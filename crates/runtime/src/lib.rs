@@ -12,13 +12,13 @@
 //! * [`batch`] — batched execution: fused, type-specialized comparison
 //!   kernels for the `Call[fs:*]` predicate chains that dominate the
 //!   scalar hot path, with per-row scalar fallback preserving exact
-//!   semantics (the pipelined default; `Ctx::batched = false` opts out);
-//! * [`eval`] — the plan evaluator;
-//! * [`pipeline`] — the pipelined (cursor) execution layer for the tuple
-//!   operators: fused pull cursors that materialize only at genuine
-//!   pipeline breakers (`OrderBy`, `GroupBy`, join/product build sides);
-//!   the default strategy, with full materialization kept as an escape
-//!   hatch (`Ctx::pipelined = false`);
+//!   semantics (the default; `Ctx::batched = false` opts out);
+//! * [`eval`] — the plan evaluator: item operators, breakers, and the
+//!   tuples-to-items boundaries;
+//! * [`pipeline`] — the pipelined (cursor) execution layer, the one
+//!   physical implementation of every streaming tuple operator: fused pull
+//!   cursors that materialize only at genuine pipeline breakers
+//!   (`OrderBy`, `GroupBy`, join/product build sides);
 //! * [`groupby`] — the physical XQuery `GroupBy` of Section 5 (pre-grouping
 //!   per-item operator, post-grouping per-partition operator, index/null
 //!   fields — Fig. 4);

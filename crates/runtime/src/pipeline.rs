@@ -1,23 +1,20 @@
 //! Pipelined (cursor) execution of the tuple operators.
 //!
-//! The logical model evaluates every operator to a complete table
-//! ([`crate::eval`]); the paper notes the physical engine instead runs the
-//! tuple algebra as a pull pipeline. This module supplies that layer: a
-//! [`TupleCursor`] per streaming operator, composed into a fused chain so
-//! that a tuple flows from the scan to the consumer without the
+//! The logical model evaluates every operator to a complete table; the
+//! paper notes the physical engine instead runs the tuple algebra as a pull
+//! pipeline. This module is that engine: a [`TupleCursor`] per streaming
+//! operator — its only physical implementation — composed into a fused
+//! chain so that a tuple flows from the scan to the consumer without the
 //! intermediate tables ever existing. Materialization happens only at
 //! genuine pipeline breakers — `OrderBy`, `GroupBy`, and the build (inner)
-//! side of `Product`/`Join`/`LOuterJoin` — which keep their all-at-once
-//! implementations and consume cursors on their streaming side.
+//! side of `Product`/`Join`/`LOuterJoin` — and where the evaluator needs a
+//! whole table ([`crate::eval::eval_table`] drains a chain with
+//! [`collect`]).
 //!
-//! The evaluator routes table-valued sub-plans here whenever
-//! `Ctx::pipelined` is set (the default); `CompileOptions::materialize_all`
-//! turns it off for ablation and differential testing. Both strategies
-//! compute the same tables in the same order; only the *interleaving* of
-//! dependent-plan evaluation differs, which can change *which* of several
-//! dynamic errors surfaces first (XQuery leaves that choice to the
-//! implementation) and lets `MapSome`/`MapEvery` stop consuming input at
-//! the first decisive tuple.
+//! Evaluation order is demand-driven: dependent sub-plans run as tuples
+//! are pulled, which lets `MapSome`/`MapEvery` stop consuming input at the
+//! first decisive tuple and can change *which* of several dynamic errors
+//! surfaces first (XQuery leaves that choice to the implementation).
 
 use xqr_core::algebra::{Field, Op, Plan};
 use xqr_xml::axes::{self, Axis};
@@ -96,43 +93,6 @@ pub fn streams(op: &Op) -> bool {
     )
 }
 
-/// The child a streaming operator pulls tuples from (the probe side for
-/// joins/products); `None` for operators fed by items or breakers only.
-fn streamed_input(op: &Op) -> Option<&Plan> {
-    match op {
-        Op::Select { input, .. }
-        | Op::MapOp { input, .. }
-        | Op::OMap { input, .. }
-        | Op::MapConcat { input, .. }
-        | Op::OMapConcat { input, .. }
-        | Op::MapIndex { input, .. }
-        | Op::MapIndexStep { input, .. } => Some(input),
-        Op::Product(a, _) => Some(a),
-        Op::Join { left, .. } | Op::LOuterJoin { left, .. } => Some(left),
-        _ => None,
-    }
-}
-
-/// Is routing this plan through the cursor layer worthwhile? A cursor pays
-/// for itself only when it *fuses*: the operator streams **and** the child
-/// it pulls from streams too, so at least one intermediate table is never
-/// built. A lone streaming operator over a breaker degenerates to the
-/// eager loop plus cursor overhead — the evaluator keeps its direct
-/// implementation for that case (and for the thousands of small per-tuple
-/// dependent tables, where the overhead would be paid per source tuple).
-pub fn fuses(plan: &Plan) -> bool {
-    streams(&plan.op)
-        && match &plan.op {
-            // A conditional fuses when the branch it picks would; that is
-            // only known dynamically, so fuse if either branch does.
-            Op::Cond { then, els, .. } => fuses(then) || fuses(els),
-            // The items-to-tuples boundary fuses when the item source is a
-            // fusing path chain: the step results are never materialized.
-            Op::MapFromItem { input, .. } => treejoin_fuses(input),
-            op => streamed_input(op).is_some_and(|c| streams(&c.op)),
-        }
-}
-
 /// Is this item-valued plan a path step the streaming `TreeJoin` cursor can
 /// evaluate incrementally? (Forward axes only; see [`axes::streamable_axis`].)
 pub fn treejoin_streams(plan: &Plan) -> bool {
@@ -165,8 +125,8 @@ pub fn treejoin_fuses(plan: &Plan) -> bool {
 
 /// Opens a cursor over a table-valued plan. Streaming operators get their
 /// dedicated cursor over their (recursively opened) input; everything else
-/// is evaluated to a table here and replayed — the single materialization
-/// point of a fused chain.
+/// (a breaker, `IN`, a tuple constructor) is evaluated to a table here and
+/// replayed.
 ///
 /// With a profiler installed, streaming operators are wrapped in a
 /// [`ProfiledCursor`] attributing each `next()` to the plan node. Breakers
@@ -276,11 +236,11 @@ fn open_cursor_raw<'p>(
                 open_cursor(els, ctx, input)
             }
         }
-        // Pipeline breakers and the rest: evaluate fully, replay. (The
-        // table's bytes were already charged at its materialization point;
-        // no second charge here.)
+        // Pipeline breakers and the rest: evaluate fully, replay. This is
+        // the table's materialization point, so `eval_table` charges its
+        // bytes here (the breaker itself charged only its input).
         _ => {
-            let table = eval(plan, ctx, input)?.into_table()?;
+            let table = eval_table(plan, ctx, input)?;
             Ok(Box::new(MaterializedCursor {
                 iter: table.into_iter(),
                 _charge: None,
@@ -304,15 +264,17 @@ fn open_join<'p>(
         Some(p) => p.stats_for(plan),
         None => None,
     };
-    // Past the soft watermark a splittable join runs out-of-core: both
-    // sides materialize (the outer order must be recoverable across
-    // partitions), the Grace join produces the full output, and the cursor
-    // replays it. The result's footprint stays charged until the cursor
-    // drops.
+    // The build side materializes (and is charged) first, so a build that
+    // crosses the soft watermark sends this very join out-of-core: past
+    // the watermark a splittable join runs the Grace join over both sides
+    // (the outer order must be recoverable across partitions), and the
+    // cursor replays its output. The result's footprint stays charged
+    // until the cursor drops.
+    let t0 = stats.as_ref().map(|_| std::time::Instant::now());
+    let right_table = eval_table(right, ctx, input)?;
     if ctx.governor.should_spill() && !matches!(ctx.join_algorithm, JoinAlgorithm::NestedLoop) {
         if let Some(split) = crate::joins::analyze_predicate(pred, left, right) {
             let left_table = eval_table(left, ctx, input)?;
-            let right_table = eval_table(right, ctx, input)?;
             let out = crate::spill::grace_join(
                 &split,
                 &left_table,
@@ -331,8 +293,6 @@ fn open_join<'p>(
             }));
         }
     }
-    let t0 = stats.as_ref().map(|_| std::time::Instant::now());
-    let right_table = eval_table(right, ctx, input)?;
     let probe = JoinProbe::build(pred, left, right, &right_table, ctx)?;
     if let (Some(s), Some(t0)) = (&stats, t0) {
         // Build phase: inner-side materialization plus probe-index
@@ -718,19 +678,9 @@ impl<'p> TupleCursor<'p> for DepCursor<'p> {
 
     fn drain_into(&mut self, ctx: &mut Ctx<'_>, out: &mut Table) -> xqr_xml::Result<()> {
         loop {
-            for u in &mut self.inner {
+            while let Some(u) = self.inner.next() {
                 ctx.governor.tick()?;
-                let t = match &self.mode {
-                    DepMode::Replace => u,
-                    DepMode::Concat => self.cur.as_ref().unwrap().concat(&u),
-                    DepMode::OuterConcat(nf) => self
-                        .cur
-                        .as_ref()
-                        .unwrap()
-                        .concat(&u)
-                        .with_bool((*nf).clone(), false),
-                };
-                out.push(t);
+                out.push(self.combine(u));
             }
             match self.advance(ctx) {
                 None => return Ok(()),
@@ -1208,50 +1158,39 @@ pub fn pipeline_report(plan: &Plan) -> String {
 /// same annotation mechanism `explain_analyze()` uses, so the static and
 /// measured renderings share one plan-tree shape instead of ad-hoc
 /// appended notes.
-pub fn explain_annotations(plan: &Plan, pipelined: bool) -> Vec<Option<String>> {
-    fn walk(p: &Plan, pipelined: bool, out: &mut Vec<Option<String>>) {
-        let note = if !pipelined {
-            match &p.op {
-                op if streams(op) && !matches!(op, Op::Cond { .. }) => {
-                    Some("materializes".to_string())
-                }
-                Op::OrderBy { .. } | Op::GroupBy { .. } => Some("materializes".to_string()),
-                _ => None,
+pub fn explain_annotations(plan: &Plan) -> Vec<Option<String>> {
+    fn walk(p: &Plan, out: &mut Vec<Option<String>>) {
+        let note = match &p.op {
+            Op::Cond { .. } => None,
+            Op::TreeJoin { .. } if treejoin_fuses(p) => {
+                Some("streams (fused step chain)".to_string())
             }
-        } else {
-            match &p.op {
-                Op::Cond { .. } => None,
-                Op::TreeJoin { .. } if treejoin_fuses(p) => {
-                    Some("streams (fused step chain)".to_string())
+            Op::TreeJoin { .. } => None,
+            Op::Join { pred, .. } | Op::LOuterJoin { pred, .. } => {
+                let mut s = "streams probe side; inner side materializes for the build".to_string();
+                if xqr_core::fuse::fusable_comparison(pred).is_some() {
+                    s.push_str("; batched comparison kernel candidate");
                 }
-                Op::TreeJoin { .. } => None,
-                Op::Join { pred, .. } | Op::LOuterJoin { pred, .. } => {
-                    let mut s =
-                        "streams probe side; inner side materializes for the build".to_string();
-                    if xqr_core::fuse::fusable_comparison(pred).is_some() {
-                        s.push_str("; batched comparison kernel candidate");
-                    }
-                    Some(s)
-                }
-                Op::Product(..) => {
-                    Some("streams probe side; inner side materializes for the build".to_string())
-                }
-                Op::Select { pred, .. } if xqr_core::fuse::fusable_comparison(pred).is_some() => {
-                    Some("streams; batched comparison kernel".to_string())
-                }
-                op if streams(op) => Some("streams".to_string()),
-                Op::OrderBy { .. } | Op::GroupBy { .. } => {
-                    Some("materializes (pipeline breaker)".to_string())
-                }
-                _ => None,
+                Some(s)
             }
+            Op::Product(..) => {
+                Some("streams probe side; inner side materializes for the build".to_string())
+            }
+            Op::Select { pred, .. } if xqr_core::fuse::fusable_comparison(pred).is_some() => {
+                Some("streams; batched comparison kernel".to_string())
+            }
+            op if streams(op) => Some("streams".to_string()),
+            Op::OrderBy { .. } | Op::GroupBy { .. } => {
+                Some("materializes (pipeline breaker)".to_string())
+            }
+            _ => None,
         };
         out.push(note);
         for (c, _) in p.op.children() {
-            walk(c, pipelined, out);
+            walk(c, out);
         }
     }
     let mut out = Vec::new();
-    walk(plan, pipelined, &mut out);
+    walk(plan, &mut out);
     out
 }

@@ -1,9 +1,9 @@
 //! Per-operator runtime profiling (`EXPLAIN ANALYZE`).
 //!
 //! A [`Profiler`] is created per query run and registered against the plan
-//! the evaluator executes; every instrumented site — pipelined cursors,
-//! materialized operator arms, join builds, group-by partitioning, and
-//! TreeJoin kernel dispatch — accumulates into one [`OpStats`] per plan
+//! the evaluator executes; every instrumented site — tuple cursors, the
+//! evaluator's breaker and boundary arms, join builds, group-by
+//! partitioning, and TreeJoin kernel dispatch — accumulates into one [`OpStats`] per plan
 //! node. After the run, [`Profiler::snapshot`] freezes the counters into a
 //! [`QueryProfile`] tree mirroring the plan shape, renderable as annotated
 //! plan text or JSON.
@@ -779,8 +779,8 @@ mod tests {
         let prof = Profiler::new(Governor::unlimited());
         let p = small_plan();
         prof.register(&p);
-        let j = prof.snapshot("materialized", 42).to_json();
-        assert!(j.contains("\"strategy\":\"materialized\""));
+        let j = prof.snapshot("pipelined", 42).to_json();
+        assert!(j.contains("\"strategy\":\"pipelined\""));
         assert!(j.contains("\"wall_nanos\":42"));
         assert!(j.contains("\"label\":\"Select\""));
         assert!(j.ends_with("\"interp\":null}"));

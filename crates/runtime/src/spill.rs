@@ -11,7 +11,8 @@
 //!   budget is recursively repartitioned with a depth-salted hash (capped
 //!   at [`MAX_DEPTH`]). Matches are collected as `(outer, inner)` index
 //!   pairs and re-emitted in the outer order with per-outer matches in
-//!   inner order — exactly the order semantics of `joins::execute_join`.
+//!   inner order — exactly the order semantics of the in-memory join
+//!   cursor.
 //! * **Partitioned group-by** ([`GroupSpill`]) — per-item results are
 //!   extracted *before* spilling, then `(key, representative, items)`
 //!   frames are routed to partition files by key hash; equal keys land in
@@ -893,8 +894,8 @@ fn assign_outers(
 }
 
 /// Out-of-core `Join`/`LOuterJoin` with the exact output order and
-/// `(value, type)` key semantics of `joins::execute_join` over an indexed
-/// probe. The caller has already split the predicate; predicates with no
+/// `(value, type)` key semantics of the in-memory join cursor over an
+/// indexed probe. The caller has already split the predicate; predicates with no
 /// separable equality stay on the in-memory nested loop (there is no key
 /// to partition on).
 pub(crate) fn grace_join(
@@ -1130,8 +1131,8 @@ impl GroupSpill {
     }
 
     /// Merges every partition and applies the per-partition aggregate;
-    /// output partitions are globally key-sorted, matching
-    /// `execute_group_by` exactly.
+    /// output partitions are globally key-sorted, matching the in-memory
+    /// `groupby::execute_group_by_streaming` exactly.
     pub(crate) fn finish(
         mut self,
         agg: &Field,
@@ -1181,37 +1182,6 @@ impl GroupSpill {
         tally.flush(stats);
         Ok(results.into_iter().map(|(_, t)| t).collect())
     }
-}
-
-/// Out-of-core `GroupBy` over a materialized input: the spilling
-/// counterpart of `groupby::execute_group_by`, with per-item evaluation in
-/// arrival order (like the streaming variant) and identical output tables.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spill_group_by(
-    agg: &Field,
-    index_fields: &[Field],
-    null_fields: &[Field],
-    per_partition: &Plan,
-    per_item: &Plan,
-    input: Table,
-    ctx: &mut Ctx<'_>,
-    stats: Option<&OpStats>,
-) -> xqr_xml::Result<Table> {
-    let mut gs = GroupSpill::new(ctx)?;
-    for t in input {
-        ctx.governor.tick()?;
-        let key = index_fields
-            .iter()
-            .map(|f| crate::groupby::index_value(&t, f))
-            .collect::<xqr_xml::Result<Vec<i64>>>()?;
-        let items: Vec<Item> = if crate::groupby::all_nulls_false(&t, null_fields)? {
-            eval_dep_items(per_item, ctx, &InputVal::Tuple(t.clone()))?.into_vec()
-        } else {
-            Vec::new()
-        };
-        gs.add(&key, &t, &items)?;
-    }
-    gs.finish(agg, per_partition, ctx, stats)
 }
 
 // ===== External merge sort =================================================

@@ -7,9 +7,9 @@
 //! cardinality, approximate bytes of materialized state, recursion and
 //! nesting depths); a [`Governor`] carries the running counters plus a
 //! [`CancellationToken`] and is checked *cooperatively* from the hot loops
-//! of both execution strategies (every pipelined cursor `next()`, every
-//! materialized operator loop, join build/probe phases, the Core
-//! interpreter's clause streams, and document parsing).
+//! of both engines (every tuple cursor `next()`, the breaker loops, join
+//! build/probe phases, the Core interpreter's clause streams, and document
+//! parsing).
 //!
 //! Violations surface as [`XmlError`]s with stable governor codes in the
 //! repo's `err:`-style convention:
@@ -93,7 +93,7 @@ pub struct Limits {
     /// Wall-clock budget for one `run` (measured from governor creation).
     pub deadline: Option<Duration>,
     /// Budget on tuple *operations*: every tuple produced or inspected by
-    /// an operator loop (in either strategy) charges one unit, so the
+    /// an operator loop (in either engine) charges one unit, so the
     /// bound scales with work done, not just output size.
     pub max_tuples: Option<u64>,
     /// Budget on the approximate bytes of materialized operator state
@@ -112,17 +112,16 @@ pub struct Limits {
     /// Directory for the per-query scoped spill dir; defaults to the
     /// `XQR_SPILL_DIR` environment variable, then the system temp dir.
     pub spill_dir: Option<PathBuf>,
-    /// User-function recursion depth (both strategies).
+    /// User-function recursion depth (both engines).
     pub max_recursion_depth: usize,
     /// Expression nesting depth in the query parser.
     pub max_parse_depth: usize,
     /// Element nesting depth in XML document parsing.
     pub max_document_depth: usize,
     /// Fault injection for testing the isolation boundary: panic after
-    /// this many governor ticks on the *first* attempt of a run. The
-    /// engine disarms it on a graceful-degradation retry, so tests can
-    /// prove a pipelined panic is caught and the materialized fallback
-    /// completes. Never set in production.
+    /// this many governor ticks, so tests can prove a panic inside
+    /// execution surfaces as a structured internal error. Never set in
+    /// production.
     pub panic_after_ticks: Option<u64>,
 }
 
@@ -590,13 +589,6 @@ impl Governor {
     pub fn exit_frame(&self) {
         let g = &*self.0;
         g.depth.set(g.depth.get().saturating_sub(1));
-    }
-
-    /// Disarms test-only fault injection (used by the engine before a
-    /// graceful-degradation retry).
-    pub fn disarm_fault_injection(&self) {
-        self.0.panic_at.set(u64::MAX);
-        self.rearm();
     }
 
     /// Tuple-work units consumed so far (diagnostics / tests).

@@ -302,8 +302,7 @@ impl MetricsRegistry {
         *m.entry(code.to_string()).or_insert(0) += 1;
     }
 
-    /// A pipelined run failed and was retried under the materialized
-    /// strategy.
+    /// A run whose spilling failed was retried with spilling disabled.
     pub fn record_fallback(&self) {
         self.fallbacks_taken.fetch_add(1, Ordering::Relaxed);
     }
@@ -803,17 +802,17 @@ mod tests {
         metrics().record_struct_index_build();
         metrics().record_postings_build(42);
         let after = metrics().snapshot();
-        assert!(after.queries_started >= before.queries_started + 1);
-        assert!(after.queries_ok >= before.queries_ok + 1);
-        assert!(after.queries_failed >= before.queries_failed + 1);
-        assert!(after.fallbacks_taken >= before.fallbacks_taken + 1);
-        assert!(after.queries_spilled >= before.queries_spilled + 1);
-        assert!(after.spill_io_retries >= before.spill_io_retries + 1);
-        assert!(after.failpoint_trips >= before.failpoint_trips + 1);
-        assert!(after.struct_index_builds >= before.struct_index_builds + 1);
+        assert!(after.queries_started > before.queries_started);
+        assert!(after.queries_ok > before.queries_ok);
+        assert!(after.queries_failed > before.queries_failed);
+        assert!(after.fallbacks_taken > before.fallbacks_taken);
+        assert!(after.queries_spilled > before.queries_spilled);
+        assert!(after.spill_io_retries > before.spill_io_retries);
+        assert!(after.failpoint_trips > before.failpoint_trips);
+        assert!(after.struct_index_builds > before.struct_index_builds);
         assert!(after.postings_entries >= before.postings_entries + 42);
-        assert!(after.error_count("XQRG0003") >= before.error_count("XQRG0003") + 1);
-        assert!(after.duration_buckets[10] >= before.duration_buckets[10] + 1);
+        assert!(after.error_count("XQRG0003") > before.error_count("XQRG0003"));
+        assert!(after.duration_buckets[10] > before.duration_buckets[10]);
     }
 
     #[test]
@@ -833,20 +832,20 @@ mod tests {
         metrics().record_plan_cache_eviction();
         metrics().record_plan_cache_rehydration();
         let after = metrics().snapshot();
-        assert!(after.transient_retries >= before.transient_retries + 1);
-        assert!(after.service_admitted >= before.service_admitted + 1);
+        assert!(after.transient_retries > before.transient_retries);
+        assert!(after.service_admitted > before.service_admitted);
         assert!(after.service_shed >= before.service_shed + 2);
-        assert!(after.service_shed_queue_full >= before.service_shed_queue_full + 1);
-        assert!(after.service_shed_deadline >= before.service_shed_deadline + 1);
-        assert!(after.breaker_trips >= before.breaker_trips + 1);
-        assert!(after.breaker_fast_fails >= before.breaker_fast_fails + 1);
-        assert!(after.doc_cache_hits >= before.doc_cache_hits + 1);
-        assert!(after.doc_cache_misses >= before.doc_cache_misses + 1);
-        assert!(after.doc_cache_evictions >= before.doc_cache_evictions + 1);
-        assert!(after.plan_cache_hits >= before.plan_cache_hits + 1);
-        assert!(after.plan_cache_misses >= before.plan_cache_misses + 1);
-        assert!(after.plan_cache_evictions >= before.plan_cache_evictions + 1);
-        assert!(after.plan_cache_rehydrations >= before.plan_cache_rehydrations + 1);
+        assert!(after.service_shed_queue_full > before.service_shed_queue_full);
+        assert!(after.service_shed_deadline > before.service_shed_deadline);
+        assert!(after.breaker_trips > before.breaker_trips);
+        assert!(after.breaker_fast_fails > before.breaker_fast_fails);
+        assert!(after.doc_cache_hits > before.doc_cache_hits);
+        assert!(after.doc_cache_misses > before.doc_cache_misses);
+        assert!(after.doc_cache_evictions > before.doc_cache_evictions);
+        assert!(after.plan_cache_hits > before.plan_cache_hits);
+        assert!(after.plan_cache_misses > before.plan_cache_misses);
+        assert!(after.plan_cache_evictions > before.plan_cache_evictions);
+        assert!(after.plan_cache_rehydrations > before.plan_cache_rehydrations);
     }
 
     #[test]

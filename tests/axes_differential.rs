@@ -3,12 +3,13 @@
 //! The indexed `tree_join` must agree with the naive per-node reference
 //! walk (`axes::naive`, the pre-index implementation kept behind the
 //! `naive-axes` feature) on every axis and node-test combination, over
-//! random documents and random step chains. At the engine level, pipelined
-//! (streaming `TreeJoin` cursor) and materialized execution must produce
-//! identical results on random path queries, and under tight governor
-//! budgets may differ only in *where* a resource limit fires — any
-//! divergence must be a governor limit code on both sides (or a limit on
-//! one side where the other completed within budget).
+//! random documents and random step chains. At the engine level, the
+//! algebra (streaming `TreeJoin` cursors and set-at-a-time steps) and the
+//! Core interpreter (`ExecutionMode::NoAlgebra`) must produce identical
+//! results on random path queries, and under tight governor budgets may
+//! differ only in *where* a resource limit fires — any divergence must be
+//! a governor limit code on both sides (or a limit on one side where the
+//! other completed within budget).
 
 use proptest::prelude::*;
 use xqr::engine::{CompileOptions, Engine, EngineError, ExecutionMode};
@@ -188,9 +189,9 @@ fn is_limit(code: &str) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine level: pipelined (streaming TreeJoin cursors) and fully
-    /// materialized execution agree exactly on random path queries, both as
-    /// bare paths and through the tuple pipeline (`for ... return`).
+    /// Engine level: the algebra (streaming TreeJoin cursors) and the Core
+    /// interpreter agree exactly on random path queries, both as bare paths
+    /// and through the tuple pipeline (`for ... return`).
     #[test]
     fn strategies_agree_on_random_paths(
         tree in arb_xml_tree(),
@@ -201,19 +202,19 @@ proptest! {
         e.bind_document("t.xml", &xml).unwrap();
         let path = path_query(&chain);
         for q in [path.clone(), format!("for $x in {path} return $x")] {
+            let reference = outcome(&e, &q, &CompileOptions::mode(ExecutionMode::NoAlgebra));
             for mode in [ExecutionMode::AlgebraNoOptim, ExecutionMode::OptimHashJoin] {
                 let p = outcome(&e, &q, &CompileOptions::mode(mode));
-                let m = outcome(&e, &q, &CompileOptions::materialized(mode));
-                prop_assert_eq!(&p, &m, "strategies disagree on {}", &q);
+                prop_assert_eq!(&p, &reference, "engines disagree on {}", &q);
             }
         }
     }
 
-    /// Engine level, tight budgets: the strategies interleave governor
-    /// charges differently (streaming charges as nodes flow; set-at-a-time
-    /// charges per context batch), so a limit may fire at different points
-    /// — but any divergence must be a governor limit, never a wrong result
-    /// or a non-limit error on one side only.
+    /// Engine level, tight budgets: the engines interleave governor
+    /// charges differently (the algebra's streaming steps charge as nodes
+    /// flow; the interpreter charges per step result), so a limit may fire
+    /// at different points — but any divergence must be a governor limit,
+    /// never a wrong result or a non-limit error on one side only.
     #[test]
     fn budget_classes_agree_on_random_paths(
         tree in arb_xml_tree(),
@@ -227,7 +228,7 @@ proptest! {
         let limits = Limits::none().with_max_tuples(budget);
         let mode = ExecutionMode::OptimHashJoin;
         let p = outcome(&e, &q, &CompileOptions::mode(mode).limits(limits.clone()));
-        let m = outcome(&e, &q, &CompileOptions::materialized(mode).limits(limits));
+        let m = outcome(&e, &q, &CompileOptions::mode(ExecutionMode::NoAlgebra).limits(limits));
         match (&p, &m) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "within budget, results differ: {}", &q),
             (Err(a), Err(b)) => prop_assert!(

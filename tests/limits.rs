@@ -1,7 +1,8 @@
 //! The resource-governor suite: deadlines, cancellation, cardinality and
 //! memory budgets, depth guards, fault isolation, and graceful
-//! degradation — across both execution strategies (pipelined and
-//! materialized) and both engines (algebra and the Core interpreter).
+//! degradation — under both predicate strategies of the algebra (batched
+//! and scalar kernels) and both engines (algebra and the Core
+//! interpreter).
 
 use std::time::{Duration, Instant};
 
@@ -68,7 +69,7 @@ fn cross_thread_cancellation() {
 }
 
 /// (b) The tuple-cardinality budget trips deterministically, with the same
-/// error code under the pipelined and the materialized strategy.
+/// error code under the batched and the scalar kernels.
 #[test]
 fn tuple_budget_identical_across_strategies() {
     for mode in [
@@ -79,27 +80,29 @@ fn tuple_budget_identical_across_strategies() {
     ] {
         let e = Engine::new();
         let limits = Limits::none().with_max_tuples(10_000);
-        let pipelined = e
+        let batched = e
             .prepare(
                 EXPLOSIVE,
                 &CompileOptions::mode(mode).limits(limits.clone()),
             )
             .unwrap()
             .run(&e);
-        let materialized = e
+        let scalar = e
             .prepare(
                 EXPLOSIVE,
-                &CompileOptions::materialized(mode).limits(limits),
+                &CompileOptions::mode(mode)
+                    .limits(limits)
+                    .with_scalar_kernels(),
             )
             .unwrap()
             .run(&e);
-        let pc = pipelined.as_ref().expect_err("pipelined must trip");
-        let mc = materialized.as_ref().expect_err("materialized must trip");
-        assert_eq!(limit_code(pc), Some("XQRG0003"), "{mode:?}: {pc}");
+        let bc = batched.as_ref().expect_err("batched must trip");
+        let sc = scalar.as_ref().expect_err("scalar must trip");
+        assert_eq!(limit_code(bc), Some("XQRG0003"), "{mode:?}: {bc}");
         assert_eq!(
-            limit_code(pc),
-            limit_code(mc),
-            "{mode:?}: strategies disagree: {pc} vs {mc}"
+            limit_code(bc),
+            limit_code(sc),
+            "{mode:?}: strategies disagree: {bc} vs {sc}"
         );
     }
 }
@@ -120,9 +123,9 @@ fn tuple_budget_no_algebra() {
     assert_eq!(limit_code(&err), Some("XQRG0003"), "{err}");
 }
 
-/// (b) The byte budget trips with identical codes under both strategies.
-/// The query carries an `order by` pipeline breaker, so even the pipelined
-/// strategy must materialize the sorted table and charge for it. Spilling
+/// (b) The byte budget trips with identical codes under both kernel
+/// strategies. The query carries an `order by` pipeline breaker, so the
+/// pipeline must materialize the sorted table and charge for it. Spilling
 /// is disabled: with it on (the default), crossing the budget degrades to
 /// out-of-core execution instead of erroring — see `spill_differential.rs`.
 #[test]
@@ -132,18 +135,23 @@ fn byte_budget_identical_across_strategies() {
     let mode = ExecutionMode::OptimHashJoin;
     let e = Engine::new();
     let limits = Limits::none().with_max_bytes(64 * 1024).with_spill(None);
-    let pipelined = e
+    let batched = e
         .prepare(q, &CompileOptions::mode(mode).limits(limits.clone()))
         .unwrap()
         .run(&e);
-    let materialized = e
-        .prepare(q, &CompileOptions::materialized(mode).limits(limits))
+    let scalar = e
+        .prepare(
+            q,
+            &CompileOptions::mode(mode)
+                .limits(limits)
+                .with_scalar_kernels(),
+        )
         .unwrap()
         .run(&e);
-    let pc = pipelined.as_ref().expect_err("pipelined must trip");
-    let mc = materialized.as_ref().expect_err("materialized must trip");
-    assert_eq!(limit_code(pc), Some("XQRG0004"), "{pc}");
-    assert_eq!(limit_code(pc), limit_code(mc), "{pc} vs {mc}");
+    let bc = batched.as_ref().expect_err("batched must trip");
+    let sc = scalar.as_ref().expect_err("scalar must trip");
+    assert_eq!(limit_code(bc), Some("XQRG0004"), "{bc}");
+    assert_eq!(limit_code(bc), limit_code(sc), "{bc} vs {sc}");
 }
 
 /// Budgets do not fire below the threshold: a governed run that fits the
@@ -300,39 +308,6 @@ fn injected_panic_is_isolated() {
         }
         other => panic!("expected Internal, got {other}"),
     }
-}
-
-/// Graceful degradation: with fallback enabled, the injected pipelined
-/// panic is caught, the query retries materialized (fault injection
-/// disarmed), succeeds, and explain() records the fallback.
-#[test]
-fn fallback_retries_materialized_and_is_reported() {
-    let e = Engine::new();
-    let mut limits = Limits::none();
-    limits.panic_after_ticks = Some(5);
-    let p = e
-        .prepare(
-            "for $x in 1 to 1000 return $x",
-            &CompileOptions::default().limits(limits).with_fallback(),
-        )
-        .unwrap();
-    let out = p.run_to_string(&e).expect("fallback must recover");
-    assert!(out.starts_with("1 2 3"));
-    assert!(
-        p.explain().contains("fallback"),
-        "explain must record the degradation:\n{}",
-        p.explain()
-    );
-    // Without fallback the same fault is an error (isolated, not unwound).
-    let mut limits = Limits::none();
-    limits.panic_after_ticks = Some(5);
-    let p2 = e
-        .prepare(
-            "for $x in 1 to 1000 return $x",
-            &CompileOptions::default().limits(limits),
-        )
-        .unwrap();
-    assert!(matches!(p2.run(&e), Err(EngineError::Internal { .. })));
 }
 
 /// Engine-wide limits installed with set_limits govern prepared queries

@@ -4,10 +4,12 @@
 //!
 //! Structural invariants checked here:
 //!
-//! * a profile tree mirrors the executed plan node-for-node, on every
-//!   execution strategy (pipelined, materialized, Core interpreter);
+//! * a profile tree mirrors the executed plan node-for-node, with batched
+//!   and with scalar kernels (the Core interpreter keeps clause counters
+//!   instead);
 //! * the root operator's recorded row count equals the query result's
-//!   length (property-tested over random inputs);
+//!   length (property-tested over random inputs), and a streaming operator
+//!   fed directly by a breaker records its output rows exactly once;
 //! * with profiling disabled nothing is recorded and `explain()` output is
 //!   byte-identical before and after a run;
 //! * profile JSON parses with an independent mini JSON parser and carries
@@ -23,8 +25,10 @@ use std::rc::Rc;
 
 use common::json;
 use proptest::prelude::*;
-use xqr::core::algebra::plan_size;
-use xqr::engine::{CollectingTracer, CompileOptions, Engine, ExecutionMode, Limits, TraceEvent};
+use xqr::core::algebra::{plan_size, Op, Plan};
+use xqr::engine::{
+    CollectingTracer, CompileOptions, Engine, ExecutionMode, Limits, ProfileNode, TraceEvent,
+};
 use xqr::xml::metrics::metrics;
 use xqr_xmark::{generate, query, GenOptions};
 
@@ -47,35 +51,39 @@ const SHAPE_QUERIES: [&str; 4] = [
     "some $x in (1,2,3) satisfies $x = 2",
 ];
 
+/// Profiling options under the batched (default) or the scalar kernels —
+/// the two ways the algebra executes its predicates.
+fn profiled(scalar: bool) -> CompileOptions {
+    let opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
+    if scalar {
+        opts.with_scalar_kernels()
+    } else {
+        opts
+    }
+}
+
 #[test]
 fn profile_tree_mirrors_plan_on_both_algebra_strategies() {
     let e = Engine::new();
     for q in SHAPE_QUERIES {
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
-            let prepared = e.prepare(q, &opts).unwrap();
+        for scalar in [false, true] {
+            let prepared = e.prepare(q, &profiled(scalar)).unwrap();
             prepared.run(&e).unwrap();
             let profile = prepared.profile().expect("profile recorded");
-            let expected = if materialize {
-                "materialized"
-            } else {
-                "pipelined"
-            };
-            assert_eq!(profile.strategy, expected, "{q:?}");
+            assert_eq!(profile.strategy, "pipelined", "{q:?}");
             let root = profile.root.as_ref().expect("operator tree");
             let plan = &prepared.compiled().unwrap().body;
             assert_eq!(
                 root.size(),
                 plan_size(plan),
-                "{q:?} ({expected}): profile tree and plan tree differ in shape"
+                "{q:?} (scalar={scalar}): profile tree and plan tree differ in shape"
             );
-            assert!(root.touched, "{q:?} ({expected}): root never recorded");
+            assert!(root.touched, "{q:?} (scalar={scalar}): root never recorded");
             // The annotation vector covers every plan node in preorder.
             assert_eq!(profile.annotations().len(), plan_size(plan));
             let rendered = prepared.explain_analyze();
             assert!(rendered.contains("rows="), "{rendered}");
-            assert!(rendered.contains(&format!("strategy: {expected}")));
+            assert!(rendered.contains("strategy: pipelined"));
         }
     }
 }
@@ -108,24 +116,81 @@ fn interp_profile_counts_expressions_and_clauses() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The root operator's recorded rows must equal the result length on
-    /// both algebra strategies, for random integer inputs.
+    /// The root operator's recorded rows must equal the result length with
+    /// batched and with scalar kernels, for random integer inputs.
     #[test]
     fn root_rows_equal_result_length(vals in prop::collection::vec(0i64..20, 1..12), cut in 0i64..20) {
         let list = vals.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
         let q = format!("for $x in ({list}) where $x >= {cut} return $x");
         let e = Engine::new();
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
-            let prepared = e.prepare(&q, &opts).unwrap();
+        for scalar in [false, true] {
+            let prepared = e.prepare(&q, &profiled(scalar)).unwrap();
             let result = prepared.run(&e).unwrap();
             let root = prepared.profile().unwrap().root.unwrap();
             prop_assert_eq!(
                 root.rows,
                 result.len() as u64,
-                "{} (materialize={})", q, materialize
+                "{} (scalar={})", q, scalar
             );
+        }
+    }
+}
+
+// ===== per-node row counts over breakers ==================================
+
+/// Collects the plan nodes (with their mirrored profile nodes) where a
+/// streaming `Select`/`MapConcat` reads directly from a breaker's output.
+fn streaming_over_breakers<'a>(
+    plan: &'a Plan,
+    node: &'a ProfileNode,
+    out: &mut Vec<(&'a Plan, &'a ProfileNode)>,
+) {
+    let kids = plan.op.children();
+    if matches!(plan.op, Op::Select { .. } | Op::MapConcat { .. })
+        && kids
+            .iter()
+            .any(|(c, _)| matches!(c.op, Op::OrderBy { .. } | Op::GroupBy { .. }))
+    {
+        out.push((plan, node));
+    }
+    for ((c, _), n) in kids.iter().zip(&node.children) {
+        streaming_over_breakers(c, n, out);
+    }
+}
+
+/// A streaming operator fed directly by a breaker reports exactly its
+/// output cardinality, recorded once: the cursor that implements it is its
+/// only recorder, and the breaker beneath reports its own output rows. The
+/// `Select` is pulled row by row by a boundary in the first query and
+/// drained whole into a breaker (the evaluator's table path) in the second.
+#[test]
+fn streaming_operator_over_a_breaker_counts_its_rows_once() {
+    let e = Engine::new();
+    // Select[count(IN#a) > 0] over the GroupBy of the unnested `let`: the
+    // groups are x = 1, 2, 3 and the filter keeps x = 1 and x = 2.
+    let flwor = "for $x in (1,2,3) \
+                 let $a := (for $y in (1,2) where $y = $x return $y) \
+                 where count($a) > 0";
+    for (q, expected) in [
+        (format!("{flwor} return $x"), "1 2"),
+        (format!("{flwor} order by $x descending return $x"), "2 1"),
+    ] {
+        for scalar in [false, true] {
+            let prepared = e.prepare(&q, &profiled(scalar)).unwrap();
+            let result = prepared.run(&e).unwrap();
+            assert_eq!(xqr::xml::serialize_sequence(&result), expected);
+            let profile = prepared.profile().unwrap();
+            let plan = &prepared.compiled().unwrap().body;
+            let mut found = Vec::new();
+            streaming_over_breakers(plan, profile.root.as_ref().unwrap(), &mut found);
+            assert_eq!(found.len(), 1, "{}", prepared.explain());
+            let (select, stats) = found[0];
+            assert!(matches!(select.op, Op::Select { .. }));
+            assert_eq!(stats.rows, 2, "{q} (scalar={scalar}): Select rows");
+            assert_eq!(stats.opens, 1, "{q} (scalar={scalar}): Select opens");
+            let group_by = &stats.children[1];
+            assert_eq!(group_by.rows, 3, "{q} (scalar={scalar}): GroupBy rows");
+            assert_eq!(group_by.partitions, 3, "{q} (scalar={scalar}): partitions");
         }
     }
 }
@@ -173,16 +238,6 @@ fn explain_annotates_the_plan_tree_itself() {
         "{text}"
     );
     assert!(text.contains("-- streams"), "{text}");
-
-    let materialized = e
-        .prepare(
-            q,
-            &CompileOptions::materialized(ExecutionMode::OptimHashJoin),
-        )
-        .unwrap();
-    let text = materialized.explain();
-    assert!(text.contains("execution: materialized"), "{text}");
-    assert!(text.contains("-- materializes"), "{text}");
 }
 
 // ===== phase tracing =======================================================
@@ -378,18 +433,12 @@ fn limit_errors_are_counted_by_code() {
 fn xmark_profiles_sum_to_wall_clock_on_both_strategies() {
     let e = xmark_engine();
     for n in [6, 7, 14] {
-        for materialize in [false, true] {
-            let mut opts = CompileOptions::mode(ExecutionMode::OptimHashJoin).with_profiling();
-            opts.materialize_all = materialize;
-            let prepared = e.prepare(query(n), &opts).unwrap();
+        for scalar in [false, true] {
+            let prepared = e.prepare(query(n), &profiled(scalar)).unwrap();
             let result = prepared.run(&e).unwrap();
             let profile = prepared.profile().unwrap();
             let root = profile.root.as_ref().unwrap();
-            assert_eq!(
-                root.rows,
-                result.len() as u64,
-                "Q{n} materialize={materialize}"
-            );
+            assert_eq!(root.rows, result.len() as u64, "Q{n} scalar={scalar}");
             assert!(root.touched, "Q{n}");
             // Per-operator self times telescope back to the root's
             // inclusive estimate, and the root estimate cannot wildly
@@ -405,7 +454,7 @@ fn xmark_profiles_sum_to_wall_clock_on_both_strategies() {
             );
             assert!(
                 root.nanos <= profile.wall_nanos.saturating_mul(4).max(1_000_000),
-                "Q{n} materialize={materialize}: estimate {} vs wall {}",
+                "Q{n} scalar={scalar}: estimate {} vs wall {}",
                 root.nanos,
                 profile.wall_nanos
             );

@@ -1,7 +1,7 @@
 //! Spill differential suite: the out-of-core operators (Grace hash join,
 //! partition-spilling group-by, external merge-sort) must produce results
 //! identical to their in-memory counterparts — same serialized output,
-//! same error codes — across both execution strategies, on the XMark join
+//! same error codes — with batched and with scalar kernels, on the XMark join
 //! queries, a fixed corpus of join/group-by/order-by shapes (including
 //! skewed keys that force recursive repartitioning and a single oversized
 //! key that hits the depth cap), and randomly generated FLWOR queries.
@@ -50,9 +50,9 @@ fn outcome(e: &Engine, q: &str, opts: &CompileOptions) -> Result<String, String>
     }
 }
 
-fn opts(mode: ExecutionMode, materialized: bool) -> CompileOptions {
-    if materialized {
-        CompileOptions::materialized(mode)
+fn opts(mode: ExecutionMode, scalar: bool) -> CompileOptions {
+    if scalar {
+        CompileOptions::mode(mode).with_scalar_kernels()
     } else {
         CompileOptions::mode(mode)
     }
@@ -64,17 +64,17 @@ fn spilled_limits() -> Limits {
     Limits::none().with_max_bytes(TINY)
 }
 
-/// The core differential: unlimited in-memory vs forced-spill, pipelined
-/// and materialized, under both equality-join algorithms.
+/// The core differential: unlimited in-memory vs forced-spill, batched
+/// and scalar kernels, under both equality-join algorithms.
 fn assert_spill_matches_in_memory(e: &Engine, q: &str, label: &str) {
     for mode in [ExecutionMode::OptimHashJoin, ExecutionMode::OptimSortJoin] {
-        for materialized in [false, true] {
-            let in_mem = outcome(e, q, &opts(mode, materialized).limits(Limits::none()));
-            let spilled = outcome(e, q, &opts(mode, materialized).limits(spilled_limits()));
+        for scalar in [false, true] {
+            let in_mem = outcome(e, q, &opts(mode, scalar).limits(Limits::none()));
+            let spilled = outcome(e, q, &opts(mode, scalar).limits(spilled_limits()));
             assert_eq!(
                 in_mem, spilled,
                 "{label}: spilled run diverged from in-memory \
-                 (mode {mode:?}, materialized {materialized})\nquery: {q}"
+                 (mode {mode:?}, scalar {scalar})\nquery: {q}"
             );
         }
     }
@@ -103,19 +103,18 @@ fn entries(dir: &PathBuf) -> usize {
     }
 }
 
-/// The canary: an equi-join whose build charges ~25 KB, flipping the soft
-/// watermark mid-build, followed by an order-by — the sort sees spill mode
-/// already set at entry and genuinely goes to disk. (A lone join flips the
-/// watermark too late to spill itself: charging is advisory once spilling
-/// is on, so the build it is mid-way through completes in memory.)
+/// The canary: an equi-join whose build side charges ~25 KB, flipping the
+/// soft watermark before the join picks its algorithm (so it runs as a
+/// Grace join), followed by an order-by that sees spill mode already set
+/// at entry — both genuinely go to disk.
 const SPILL_JOIN: &str = "for $x in (1 to 800), $y in (1 to 800) \
                           where $x = $y order by $y descending return $y";
 
-/// The fallback-path canary, run under the *materialized* strategy: the
-/// input tables are charged before the join starts, so a low watermark
-/// flips spill mode ahead of the build and the Grace join goes to disk
-/// no matter how roomy the budget — leaving plenty of headroom for the
-/// strict in-memory rerun after a spill failure.
+/// The fallback-path canary: the join charges its build side before it
+/// decides between the in-memory and the Grace join, so a low watermark
+/// flips spill mode ahead of the probe and the Grace join goes to disk no
+/// matter how roomy the budget — leaving plenty of headroom for the strict
+/// in-memory rerun after a spill failure.
 const COUNT_JOIN: &str = "count(for $x in (1 to 800), $y in (1 to 800) where $x = $y return $x)";
 
 /// The in-memory reference result for a query (unlimited budget).
@@ -319,7 +318,7 @@ fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
     let hard = outcome(
         &e,
         COUNT_JOIN,
-        &CompileOptions::materialized(ExecutionMode::OptimHashJoin).limits(limits()),
+        &CompileOptions::mode(ExecutionMode::OptimHashJoin).limits(limits()),
     );
     assert_eq!(
         hard,
@@ -332,7 +331,7 @@ fn unwritable_spill_parent_fails_with_xqrg0005_then_falls_back() {
     let p = e
         .prepare(
             COUNT_JOIN,
-            &CompileOptions::materialized(ExecutionMode::OptimHashJoin)
+            &CompileOptions::mode(ExecutionMode::OptimHashJoin)
                 .limits(limits())
                 .with_fallback(),
         )
@@ -418,12 +417,12 @@ proptest! {
         let _l = lock();
         let e = Engine::new();
         for mode in [ExecutionMode::OptimHashJoin, ExecutionMode::OptimSortJoin] {
-            for materialized in [false, true] {
-                let in_mem = outcome(&e, &q, &opts(mode, materialized).limits(Limits::none()));
-                let spilled = outcome(&e, &q, &opts(mode, materialized).limits(spilled_limits()));
+            for scalar in [false, true] {
+                let in_mem = outcome(&e, &q, &opts(mode, scalar).limits(Limits::none()));
+                let spilled = outcome(&e, &q, &opts(mode, scalar).limits(spilled_limits()));
                 prop_assert_eq!(
                     &in_mem, &spilled,
-                    "mode {:?} materialized {} query {}", mode, materialized, q
+                    "mode {:?} scalar {} query {}", mode, scalar, q
                 );
             }
         }
@@ -497,7 +496,7 @@ mod failpoints {
         let p = e
             .prepare(
                 COUNT_JOIN,
-                &CompileOptions::materialized(ExecutionMode::OptimHashJoin)
+                &CompileOptions::mode(ExecutionMode::OptimHashJoin)
                     .limits(limits)
                     .with_fallback(),
             )
